@@ -4,7 +4,8 @@
 Recomputes local bounds, seesaw maxima, fixture evaluations and class
 assignments for the whole catalog and writes report.json (plus a flat
 CSV) into the chosen directory. Exit code follows the tables command:
-0 all match, 2 any mismatch, 3 solver trouble.
+0 all match, 2 any mismatch, 3 solver trouble, 4 a row failed with an
+error.
 """
 
 import argparse

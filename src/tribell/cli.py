@@ -1,15 +1,14 @@
 """Command-line front end: catalog queries, solvers, and the report runner.
 
 Exit codes: 0 success (and, for ``tables``, zero mismatches), 1 usage error,
-2 computation mismatch, 3 solver non-convergence.
+2 computation mismatch, 3 solver non-convergence, 4 a ``tables`` row failed
+with an error.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 
@@ -24,7 +23,16 @@ from .bell_expr import (
     local_bound,
     parse_expression,
 )
-from .fixtures import fixture_record, fixture_solution
+from .fixtures import (
+    AQ_ANOMALY_IDS,
+    AQ_TOL,
+    FIXTURE_TOL,
+    INCOMPATIBILITY_CLASS_TOL,
+    PROFILE_TOL,
+    VALUE_TOL,
+    fixture_record,
+    fixture_solution,
+)
 from .monotones import (
     DEFAULT_CLASS_TOL,
     classify_incompatibility,
@@ -38,21 +46,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_ERROR = 4
 
 SOLUTION_SCHEMA = "tribell.solution/1"
 NPA_SCHEMA = "tribell.npa/1"
 CLASSES_SCHEMA = "tribell.classes/1"
 REPORT_SCHEMA = "tribell.report/1"
 
-WORKERS_ENV = "TRIBELL_WORKERS"
-
 _LEVEL_TOKENS = {"q1": "Q1", "1ab": "1+AB", "aq": "AQ", "q2": "Q2"}
-
-# Reproduction tolerances, keyed by whether the target is closed-form.
-_VALUE_TOL = {"closed": 1e-7, "decimal": 5e-4}
-_FIXTURE_TOL = {"closed": 1e-9, "decimal": 2e-3}
-_PROFILE_TOL = 2e-3
-_INCOMPATIBILITY_CLASS_TOL = 2e-5
 
 
 class UsageError(Exception):
@@ -64,16 +65,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise UsageError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return min(4, os.cpu_count() or 1)
 
 
 def _parse_ident(text: str) -> int:
@@ -297,7 +288,7 @@ def _cmd_classify(args) -> int:
             ent_tol = inc_tol = args.tol
         else:
             ent_tol = record.entanglement_tol or DEFAULT_CLASS_TOL
-            inc_tol = record.incompatibility_tol or _INCOMPATIBILITY_CLASS_TOL
+            inc_tol = record.incompatibility_tol or INCOMPATIBILITY_CLASS_TOL
     classes = _classes_for(solution, ent_tol, inc_tol)
     if args.json:
         print(json.dumps({"schema": CLASSES_SCHEMA, "id": ident, **classes}, indent=2))
@@ -322,23 +313,23 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
     row["local_bound"] = _check(bound, entry.local_maximum, 0)
 
     solution = quantum_maximum(entry.expression, seesaw_params)
-    row["seesaw_value"] = _check(solution.value, record.maximum, _VALUE_TOL[record.kind])
+    row["seesaw_value"] = _check(solution.value, record.maximum, VALUE_TOL[record.kind])
 
     fixture = fixture_solution(ident)
-    row["fixture_value"] = _check(fixture.value, record.maximum, _FIXTURE_TOL[record.kind])
+    row["fixture_value"] = _check(fixture.value, record.maximum, FIXTURE_TOL[record.kind])
 
     ent_tol = record.entanglement_tol or DEFAULT_CLASS_TOL
-    inc_tol = record.incompatibility_tol or _INCOMPATIBILITY_CLASS_TOL
+    inc_tol = record.incompatibility_tol or INCOMPATIBILITY_CLASS_TOL
     classes = _classes_for(fixture, ent_tol, inc_tol)
     expected = record.profile
     row["profile"] = {
-        "negativity": _check(classes["negativity"], expected.negativity, _PROFILE_TOL),
+        "negativity": _check(classes["negativity"], expected.negativity, PROFILE_TOL),
         "concurrences": [
-            _check(got, want, _PROFILE_TOL)
+            _check(got, want, PROFILE_TOL)
             for got, want in zip(classes["concurrences"], expected.concurrences)
         ],
         "incompatibilities": [
-            _check(got, want, _PROFILE_TOL)
+            _check(got, want, PROFILE_TOL)
             for got, want in zip(classes["incompatibilities"], expected.incompatibilities)
         ],
     }
@@ -370,8 +361,8 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
             "iterations": npa_solution.iterations,
             "status": "computed",
         }
-        if level == "AQ" and record.kind == "closed" and ident not in (23, 41):
-            cell = {**cell, **_check(npa_bound, record.maximum, 2e-3)}
+        if level == "AQ" and record.kind == "closed" and ident not in AQ_ANOMALY_IDS:
+            cell = {**cell, **_check(npa_bound, record.maximum, AQ_TOL)}
         row["npa_bounds"][level] = cell
     if not npa_levels:
         row["npa_bounds"] = {"status": "skipped"}
@@ -379,6 +370,9 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
 
 
 def _row_statuses(row: dict):
+    if row.get("status") == "error":
+        yield "error"
+        return
     yield row["local_bound"]["status"]
     yield row["seesaw_value"]["status"]
     yield row["fixture_value"]["status"]
@@ -399,19 +393,19 @@ def _cmd_tables(args) -> int:
     npa_levels = [_LEVEL_TOKENS[token] for token in args.npa or []]
     npa_params = SdpParams(tolerance=args.tol, max_iterations=args.max_iterations)
     started = time.perf_counter()
-    workers = _workers()
-    rows: dict[int, dict] = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_tables_row, ident, seesaw_params, npa_levels, npa_params): ident
-            for ident in range(1, 47)
-        }
-        for future in concurrent.futures.as_completed(futures):
-            rows[futures[future]] = future.result()
-    ordered = [rows[ident] for ident in range(1, 47)]
+    ordered = []
+    for ident in range(1, 47):
+        # A failure in one row is recorded there and does not sink the report.
+        try:
+            ordered.append(_tables_row(ident, seesaw_params, npa_levels, npa_params))
+        except (ValueError, RuntimeError) as err:
+            ordered.append(
+                {"id": ident, "status": "error", "error": f"{type(err).__name__}: {err}"}
+            )
     statuses = [status for row in ordered for status in _row_statuses(row)]
     mismatches = sum(status == "mismatch" for status in statuses)
     unconverged = sum(status == "no-convergence" for status in statuses)
+    errors = sum(status == "error" for status in statuses)
     report = {
         "schema": REPORT_SCHEMA,
         "metadata": {
@@ -419,7 +413,6 @@ def _cmd_tables(args) -> int:
             "restarts": args.restarts,
             "npa_levels": npa_levels,
             "npa_tolerance": args.tol,
-            "workers": workers,
             "duration_seconds": round(time.perf_counter() - started, 3),
         },
         "rows": ordered,
@@ -429,6 +422,7 @@ def _cmd_tables(args) -> int:
             "skipped": sum(status == "skipped" for status in statuses),
             "mismatches": mismatches,
             "no_convergence": unconverged,
+            "errors": errors,
         },
     }
     if args.out:
@@ -438,6 +432,9 @@ def _cmd_tables(args) -> int:
     if args.csv:
         _write_csv(args.csv, ordered)
     for row in ordered:
+        if row.get("status") == "error":
+            print(f"id {row['id']:2d}  error: {row['error']}")
+            continue
         bad = [
             status
             for status in _row_statuses(row)
@@ -455,8 +452,10 @@ def _cmd_tables(args) -> int:
     print(
         f"{summary['matches']}/{summary['checks']} checks match"
         f"  ({summary['skipped']} skipped, {summary['mismatches']} mismatches,"
-        f" {summary['no_convergence']} unconverged)"
+        f" {summary['no_convergence']} unconverged, {summary['errors']} errors)"
     )
+    if errors:
+        return EXIT_ERROR
     if unconverged:
         return EXIT_NO_CONVERGENCE
     if mismatches:
@@ -475,6 +474,9 @@ def _write_csv(path: str, ordered) -> None:
             "entanglement_class", "incompatibility_class", "class_status",
         ])
         for row in ordered:
+            if row.get("status") == "error":
+                writer.writerow([row["id"], ""] + ["", "error"] * 3 + ["", "", "error"])
+                continue
             writer.writerow([
                 row["id"], row["kind"],
                 row["local_bound"]["value"], row["local_bound"]["status"],

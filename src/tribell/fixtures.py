@@ -24,10 +24,16 @@ from .qcore import MINUS_IDENTITY, PLUS_IDENTITY, Observable, PureState
 from .seesaw import Solution
 
 __all__ = [
+    "AQ_ANOMALY_IDS",
+    "AQ_TOL",
     "ExpectedProfile",
     "FixtureIntegrityError",
+    "FIXTURE_TOL",
     "FixtureRecord",
+    "INCOMPATIBILITY_CLASS_TOL",
     "MissingStateError",
+    "PROFILE_TOL",
+    "VALUE_TOL",
     "build_fixture_measurements",
     "build_fixture_state",
     "expected_values",
@@ -35,6 +41,17 @@ __all__ = [
     "fixture_solution",
     "load_reference_table",
 ]
+
+# Reproduction tolerances. The value tolerances are keyed by whether the
+# reference maximum is closed-form or a printed decimal.
+VALUE_TOL = {"closed": 1e-7, "decimal": 5e-4}
+FIXTURE_TOL = {"closed": 1e-9, "decimal": 2e-3}
+PROFILE_TOL = 2e-3
+INCOMPATIBILITY_CLASS_TOL = 2e-5
+AQ_TOL = 2e-3
+# Rows whose almost-quantum bound lies above their maximum (the AQ anomalies),
+# left out of the check of AQ against the maximum.
+AQ_ANOMALY_IDS = (23, 41)
 
 _TABLE_RESOURCE = "data/reference_tables.txt"
 _TABLE_SHA256 = "fe8ac6d41faace7c722026d770ca7afe6ba8eefc097d1d355c113cbf881158fc"

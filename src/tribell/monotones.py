@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
+    _PARTY_INDEX,
     Observable,
     PureState,
     partial_transpose,
@@ -41,7 +42,6 @@ __all__ = [
 
 DEFAULT_CLASS_TOL = 1e-4
 
-_PARTY_INDEX = {"A": 0, "B": 1, "C": 2}
 _W_NEGATIVITY = 2.0 * np.sqrt(2.0) / 3.0
 _SPIN_FLIP = np.kron(sigma_y, sigma_y).real
 

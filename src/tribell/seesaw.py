@@ -13,6 +13,11 @@ not depend on execution order. Internally all live restarts advance in
 lock step through vectorized sweeps; a restart whose sweep improvement
 drops below the tolerance is frozen, which keeps the batch equivalent to
 running each restart alone.
+
+Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
+measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the
+Bell operators built from the rows, and the observable steps read every
+slot's trace and gradient off the state's correlation tensor.
 """
 
 from __future__ import annotations
@@ -22,7 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell_expr import BellExpression
-from .qcore import Observable, PureState, sigma_x, sigma_y, sigma_z
+from .qcore import (
+    Observable,
+    PureState,
+    bell_operator,
+    bell_operators,
+    correlations,
+    expectation,
+    max_eigenpair,
+    observable_rows,
+    slot_response,
+)
 
 __all__ = [
     "SeesawParams",
@@ -33,11 +48,6 @@ __all__ = [
     "quantum_maximum",
     "seesaw_run",
 ]
-
-_PAULI = np.stack([sigma_x, sigma_y, sigma_z])
-
-# Observable kinds used by the vectorized engine.
-_BLOCH, _PLUS, _MINUS = 0, 1, 2
 
 _TIE_TOL = 1e-12
 _MONOTONE_SLACK = 1e-9
@@ -69,8 +79,6 @@ class Solution:
 
 def best_state(expr: BellExpression, observables) -> tuple[float, PureState]:
     """Optimal state for fixed measurements: top eigenpair of the operator."""
-    from .qcore import bell_operator, max_eigenpair
-
     value, vector = max_eigenpair(bell_operator(expr, observables))
     return float(value), PureState(vector)
 
@@ -85,30 +93,17 @@ def best_observable(expr: BellExpression, state: PureState, observables, slot: i
     if not 0 <= slot < 6:
         raise ValueError("slot must lie in 0..5")
     observables = tuple(observables)
-    tensor = expr.tensor().astype(float)
-    psi = state.amplitudes.reshape(1, 2, 2, 2)
-    kinds, vectors = _encode_observables(observables)
-    stacks = _stacks_from_kinds(kinds, vectors)
     party, setting = divmod(slot, 2)
-
-    linear = _transfer(tensor, psi, stacks, party)
-    x = linear[0, setting + 1]
-    gradient = np.einsum("kad,ad->k", _PAULI, x).real
-    trace = float(np.trace(x).real)
-    own = float(np.einsum("ad,ad->", stacks[party][0, setting + 1], x).real)
-    total = float(np.einsum("iad,iad->", stacks[party][0], linear[0]).real)
-    if np.hypot(np.linalg.norm(gradient), trace) < 1e-14:
-        return total, observables[slot]
-    kind, vec, gain = _choose_branch(
-        gradient[0], gradient[1], gradient[2], trace, own,
-        int(kinds[0, slot]), vectors[0, slot],
-    )
-    return total - own + gain, _decode_observable(kind, vec)
+    rows = observable_rows(observables)[None]
+    tensor = expr.tensor().astype(float)
+    response = slot_response(tensor, rows, correlations(state.amplitudes[None]), party)
+    value = float(_update_slot(rows[:, party], response, setting + 1)[0])
+    if np.linalg.norm(response[0, setting + 1]) < 1e-14:
+        return value, observables[slot]
+    return value, _decode_observable(rows[0, party, setting + 1])
 
 
 def evaluate_solution(expr: BellExpression, solution: Solution) -> float:
-    from .qcore import bell_operator, expectation
-
     return expectation(solution.state, bell_operator(expr, solution.measurements))
 
 
@@ -133,12 +128,9 @@ def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams())
 
 
 def _solution_from_run(run, restart_index: int, with_trace: bool) -> Solution:
-    measurements = tuple(
-        _decode_observable(int(k), v) for k, v in zip(run["kinds"], run["vectors"])
-    )
     return Solution(
         state=PureState(run["state"]),
-        measurements=measurements,
+        measurements=tuple(_decode_observable(row) for row in run["rows"]),
         value=float(run["value"]),
         sweeps_used=int(run["sweeps"]),
         restart_index=restart_index,
@@ -146,85 +138,40 @@ def _solution_from_run(run, restart_index: int, with_trace: bool) -> Solution:
     )
 
 
-def _decode_observable(kind: int, vector) -> Observable:
-    if kind == _BLOCH:
-        vec = np.asarray(vector, dtype=float)
-        vec = vec / np.linalg.norm(vec)
-        return Observable(vector=(float(vec[0]), float(vec[1]), float(vec[2])))
-    return Observable.identity(1 if kind == _PLUS else -1)
+def _decode_observable(row) -> Observable:
+    if row[0] != 0.0:
+        return Observable.identity(1 if row[0] > 0 else -1)
+    vec = row[1:] / np.linalg.norm(row[1:])
+    return Observable(vector=(float(vec[0]), float(vec[1]), float(vec[2])))
 
 
-def _encode_observables(observables):
-    kinds = np.empty((1, 6), dtype=np.int8)
-    vectors = np.zeros((1, 6, 3), dtype=float)
-    for i, obs in enumerate(observables):
-        if obs.is_identity:
-            kinds[0, i] = _PLUS if obs.sign > 0 else _MINUS
-            vectors[0, i] = (0.0, 0.0, 1.0)
-        else:
-            kinds[0, i] = _BLOCH
-            vectors[0, i] = obs.vector
-    return kinds, vectors
+def _update_slot(party_rows, response, setting):
+    """Best row for one slot of every restart, written into ``party_rows``.
 
+    ``party_rows`` and ``response`` are (n, 3, 4): the rows of the slot's
+    party and their linear response. Returns the new values. Bloch wins
+    ties, then +identity; a Bloch incumbent with no usable gradient stays.
+    """
+    total = np.einsum("nim,nim->n", party_rows, response)
+    own = np.einsum("nm,nm->n", party_rows[:, setting], response[:, setting])
+    plus = response[:, setting, 0]
+    minus = -plus
+    gradient = response[:, setting, 1:]
+    gnorm = np.linalg.norm(gradient, axis=1)
+    usable = gnorm >= 1e-14
+    keeps = ~usable & (party_rows[:, setting, 0] == 0.0)
+    bloch_value = np.where(usable, gnorm, np.where(keeps, own, -np.inf))
+    take_bloch = bloch_value >= np.maximum(plus, minus) - _TIE_TOL
+    take_plus = ~take_bloch & (plus >= minus - _TIE_TOL)
 
-def _bloch_matrices(vectors: np.ndarray) -> np.ndarray:
-    """(n, 3) unit vectors to (n, 2, 2) observables n . sigma."""
-    return np.einsum("nk,kad->nad", vectors, _PAULI)
-
-
-def _stacks_from_kinds(kinds: np.ndarray, vectors: np.ndarray) -> list[np.ndarray]:
-    n = kinds.shape[0]
-    eye = np.eye(2, dtype=complex)
-    stacks = []
-    for party in range(3):
-        stack = np.empty((n, 3, 2, 2), dtype=complex)
-        stack[:, 0] = eye
-        for setting in range(2):
-            slot = 2 * party + setting
-            mats = _bloch_matrices(vectors[:, slot])
-            ident = kinds[:, slot] != _BLOCH
-            if np.any(ident):
-                signs = np.where(kinds[ident, slot] == _PLUS, 1.0, -1.0)
-                mats[ident] = signs[:, None, None] * eye
-            stack[:, setting + 1] = mats
-        stacks.append(stack)
-    return stacks
-
-
-# Einsum patterns for the per-party transfer tensors. For the free party
-# p, W contracts the state with the other two parties' stacks, leaving
-# the free party's bra/ket indices and the other parties' slot indices.
-_W_PATTERNS = (
-    ("nabc,njbe,nkcf,ndef->njkad", (1, 2)),
-    ("nabc,niad,nkcf,ndef->nikbe", (0, 2)),
-    ("nabc,niad,njbe,ndef->nijcf", (0, 1)),
-)
-_X_PATTERNS = (
-    "ijk,njkad->niad",
-    "ijk,nikbe->njbe",
-    "ijk,nijcf->nkcf",
-)
-
-
-def _transfer(tensor, psi, stacks, party):
-    """(n, 3, 2, 2) linear response of the value to the party's slots."""
-    pattern, (o1, o2) = _W_PATTERNS[party]
-    w = np.einsum(pattern, psi.conj(), stacks[o1], stacks[o2], psi, optimize=True)
-    return np.einsum(_X_PATTERNS[party], tensor, w, optimize=True)
-
-
-def _choose_branch(gx, gy, gz, trace, incumbent, kind, vector):
-    """Scalar branch selection mirroring the vectorized update."""
-    gnorm = float(np.sqrt(gx * gx + gy * gy + gz * gz))
-    if gnorm >= 1e-14:
-        bloch_value, bloch_vec = gnorm, np.array([gx, gy, gz]) / gnorm
-    else:
-        bloch_value, bloch_vec = (incumbent if kind == _BLOCH else -np.inf), np.asarray(vector)
-    if bloch_value >= max(trace, -trace) - _TIE_TOL:
-        return _BLOCH, bloch_vec, bloch_value
-    if trace >= -trace - _TIE_TOL:
-        return _PLUS, np.array([0.0, 0.0, 1.0]), trace
-    return _MINUS, np.array([0.0, 0.0, 1.0]), -trace
+    update_bloch = take_bloch & usable
+    party_rows[update_bloch, setting, 0] = 0.0
+    party_rows[update_bloch, setting, 1:] = gradient[update_bloch] / gnorm[update_bloch, None]
+    identity = ~take_bloch
+    party_rows[identity, setting] = 0.0
+    party_rows[identity, setting, 0] = np.where(take_plus[identity], 1.0, -1.0)
+    slot_values = np.where(take_bloch, bloch_value, np.where(take_plus, plus, minus))
+    return total - own + slot_values
 
 
 def _phase_fix(states: np.ndarray) -> np.ndarray:
@@ -237,7 +184,9 @@ def _phase_fix(states: np.ndarray) -> np.ndarray:
 def _run_batch(tensor, streams, params, keep_trace):
     n = len(streams)
     psi = np.empty((n, 8), dtype=complex)
-    vectors = np.empty((n, 6, 3), dtype=float)
+    # Per restart and party: Pauli rows [identity, first, second setting].
+    rows = np.zeros((n, 3, 3, 4))
+    rows[:, :, 0, 0] = 1.0
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         # Draw order is part of the reproducibility contract: 8 real then
@@ -247,13 +196,9 @@ def _run_batch(tensor, streams, params, keep_trace):
         amp = re + 1j * im
         psi[i] = amp / np.linalg.norm(amp)
         raw = rng.standard_normal((6, 3))
-        vectors[i] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    kinds = np.full((n, 6), _BLOCH, dtype=np.int8)
-    stacks = _stacks_from_kinds(kinds, vectors)
+        rows[i, :, 1:, 1:] = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(3, 2, 3)
 
-    psi3 = psi.reshape(n, 2, 2, 2)
-    h = np.einsum("ijk,niad,njbe,nkcf->nabcdef", tensor, *stacks, optimize=True).reshape(n, 8, 8)
-    values = np.einsum("na,nab,nb->n", psi.conj(), h, psi, optimize=True).real
+    values = np.einsum("na,nab,nb->n", psi.conj(), bell_operators(tensor, rows), psi).real
 
     converged = np.zeros(n, dtype=bool)
     sweeps_used = np.full(n, params.max_sweeps, dtype=int)
@@ -265,89 +210,46 @@ def _run_batch(tensor, streams, params, keep_trace):
         if idx.size == 0:
             break
         start_values = values[idx].copy()
-        sub_stacks = [s[idx] for s in stacks]
-        sub_psi = psi3[idx]
+        sub_rows = rows[idx]
 
         # State step: top eigenpair of the Bell operator per live restart.
-        h = np.einsum(
-            "ijk,niad,njbe,nkcf->nabcdef", tensor, *sub_stacks, optimize=True
-        ).reshape(idx.size, 8, 8)
-        eigvals, eigvecs = np.linalg.eigh(h)
+        eigvals, eigvecs = np.linalg.eigh(bell_operators(tensor, sub_rows))
         new_values = eigvals[:, -1]
         if np.any(new_values < values[idx] - _MONOTONE_SLACK * scale):
             raise RuntimeError("seesaw state step decreased the value")
         values[idx] = new_values
-        sub_psi = _phase_fix(eigvecs[:, :, -1]).reshape(idx.size, 2, 2, 2)
-        psi3[idx] = sub_psi
-        psi = psi3.reshape(n, 8)
+        sub_psi = _phase_fix(eigvecs[:, :, -1])
+        psi[idx] = sub_psi
+        corr = correlations(sub_psi)
 
-        for slot in range(6):
-            party, setting = divmod(slot, 2)
-            linear = _transfer(tensor, sub_psi, sub_stacks, party)
-            x = linear[:, setting + 1]
-            gradient = np.einsum("kad,nad->nk", _PAULI, x).real
-            gnorm = np.linalg.norm(gradient, axis=1)
-            trace = np.trace(x, axis1=1, axis2=2).real
-            total = np.einsum("niad,niad->n", sub_stacks[party], linear).real
-            own = np.einsum(
-                "nad,nad->n", sub_stacks[party][:, setting + 1], x
-            ).real
-            constant = total - own
-
-            # Branch selection: Bloch wins ties, then +identity.
-            plus, minus = trace, -trace
-            usable = gnorm >= 1e-14
-            keeps = ~usable & (kinds[idx, slot] == _BLOCH)
-            bloch_value = np.where(usable, gnorm, np.where(keeps, own, -np.inf))
-            take_bloch = bloch_value >= np.maximum(plus, minus) - _TIE_TOL
-            take_plus = ~take_bloch & (plus >= minus - _TIE_TOL)
-            take_minus = ~take_bloch & ~take_plus
-
-            new_slot_values = np.where(
-                take_bloch, bloch_value, np.where(take_plus, plus, minus)
-            )
-            new_values = constant + new_slot_values
-            if np.any(new_values < values[idx] - _MONOTONE_SLACK * scale):
-                raise RuntimeError("seesaw observable step decreased the value")
-            values[idx] = new_values
-
-            update_bloch = take_bloch & usable
-            if np.any(update_bloch):
-                rows = idx[update_bloch]
-                unit = gradient[update_bloch] / gnorm[update_bloch, None]
-                kinds[rows, slot] = _BLOCH
-                vectors[rows, slot] = unit
-                mats = _bloch_matrices(unit)
-                stacks[party][rows, setting + 1] = mats
-                sub_stacks[party][update_bloch, setting + 1] = mats
-            for take, kind, sign in ((take_plus, _PLUS, 1.0), (take_minus, _MINUS, -1.0)):
-                if np.any(take):
-                    rows = idx[take]
-                    kinds[rows, slot] = kind
-                    mats = np.broadcast_to(sign * np.eye(2, dtype=complex), (rows.size, 2, 2))
-                    stacks[party][rows, setting + 1] = mats
-                    sub_stacks[party][take, setting + 1] = mats
+        # Observable steps. A party's response does not depend on its own
+        # rows, so one response serves both of its settings.
+        for party in range(3):
+            response = slot_response(tensor, sub_rows, corr, party)
+            for setting in (1, 2):
+                new_values = _update_slot(sub_rows[:, party], response, setting)
+                if np.any(new_values < values[idx] - _MONOTONE_SLACK * scale):
+                    raise RuntimeError("seesaw observable step decreased the value")
+                values[idx] = new_values
+        rows[idx] = sub_rows
 
         if keep_trace:
-            for pos, run in enumerate(idx):
+            for run in idx:
                 traces[run].append(float(values[run]))
         improvement = values[idx] - start_values
         done = improvement < params.convergence_tol
         if np.any(done):
-            rows = idx[done]
-            converged[rows] = True
-            sweeps_used[rows] = sweep
+            rows_done = idx[done]
+            converged[rows_done] = True
+            sweeps_used[rows_done] = sweep
 
-    runs = []
-    for i in range(n):
-        runs.append(
-            {
-                "state": psi[i].copy(),
-                "kinds": kinds[i].copy(),
-                "vectors": vectors[i].copy(),
-                "value": float(values[i]),
-                "sweeps": int(sweeps_used[i]),
-                "trace": traces[i] if keep_trace else None,
-            }
-        )
-    return runs
+    return [
+        {
+            "state": psi[i].copy(),
+            "rows": rows[i, :, 1:].reshape(6, 4).copy(),
+            "value": float(values[i]),
+            "sweeps": int(sweeps_used[i]),
+            "trace": traces[i] if keep_trace else None,
+        }
+        for i in range(n)
+    ]

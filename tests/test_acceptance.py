@@ -21,7 +21,13 @@ from tribell.bell_expr import (
     parse_expression,
     substitute_identity,
 )
-from tribell.fixtures import fixture_record, fixture_solution
+from tribell.fixtures import (
+    AQ_ANOMALY_IDS,
+    AQ_TOL,
+    INCOMPATIBILITY_CLASS_TOL,
+    fixture_record,
+    fixture_solution,
+)
 from tribell.monotones import (
     DEFAULT_CLASS_TOL,
     classify_incompatibility,
@@ -32,8 +38,6 @@ from tribell.qcore import PureState, partial_transpose
 from tribell.seesaw import SeesawParams, evaluate_solution, quantum_maximum, seesaw_run
 
 from conftest import CATALOG_IDS, CERTIFY_SDP, CLOSED_FORM
-
-INC_CLASS_TOL = 2e-5
 
 
 def test_criterion_1_local_bounds_exact_and_fast():
@@ -92,7 +96,7 @@ def test_criterion_5_monotone_reproduction():
         solution = fixture_solution(ident)
         expected = record.profile
         ent_tol = record.entanglement_tol or DEFAULT_CLASS_TOL
-        inc_tol = record.incompatibility_tol or INC_CLASS_TOL
+        inc_tol = record.incompatibility_tol or INCOMPATIBILITY_CLASS_TOL
         profile = entanglement_profile(solution.state, tol=ent_tol)
         inc = classify_incompatibility(solution.measurements, tol=inc_tol)
         got = (profile.n_abc, profile.c_ab, profile.c_ac, profile.c_bc,
@@ -133,8 +137,8 @@ def test_criterion_7_sandwich_and_level_monotonicity(full_seesaw, npa_survey):
         assert aq <= one_ab + 1e-7, (
             f"id {ident}: AQ {aq!r} above 1+AB {one_ab!r}")
         record = fixture_record(ident)
-        if record.kind == "closed" and ident not in (23, 41):
-            assert aq == pytest.approx(record.maximum, abs=2e-3), f"id {ident}"
+        if record.kind == "closed" and ident not in AQ_ANOMALY_IDS:
+            assert aq == pytest.approx(record.maximum, abs=AQ_TOL), f"id {ident}"
 
 
 def test_criterion_8a_local_unitary_invariance():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tribell.cli as cli
+from tribell.bell_expr import catalog_entry
 from tribell.cli import main
 from tribell.qcore import Observable, PureState
 from tribell.seesaw import Solution
@@ -143,8 +144,7 @@ def test_npa_iteration_cap_exits_3(capsys):
     assert "no convergence" in err
 
 
-def test_tables_full_run(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
+def test_tables_full_run(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
     code, out, _ = run(capsys, "tables", "--restarts", "40",
@@ -154,7 +154,6 @@ def test_tables_full_run(capsys, tmp_path, monkeypatch):
 
     report = json.loads(out_path.read_text())
     assert report["schema"] == cli.REPORT_SCHEMA
-    assert report["metadata"]["workers"] == 2
     assert [row["id"] for row in report["rows"]] == list(range(1, 47))
     for row in report["rows"]:
         for cell in (row["local_bound"], row["seesaw_value"], row["fixture_value"]):
@@ -175,14 +174,43 @@ def test_tables_detects_mismatches(capsys, monkeypatch):
                     measurements=tuple(Observable.identity(1) for _ in range(6)),
                     value=0.0, sweeps_used=0, restart_index=0)
     monkeypatch.setattr(cli, "quantum_maximum", lambda expr, params: fake)
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
     code, out, _ = run(capsys, "tables", "--restarts", "2")
     assert code == 2
     assert "mismatch" in out
 
 
-def test_tables_rejects_bad_worker_count(capsys, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "many")
-    code, _, err = run(capsys, "tables", "--restarts", "2")
-    assert code == 1
-    assert cli.WORKERS_ENV in err
+def test_tables_contains_a_failing_row(capsys, tmp_path, monkeypatch):
+    real = cli.quantum_maximum
+    failing = catalog_entry(17).expression
+
+    def flaky(expr, params):
+        if expr == failing:
+            raise RuntimeError("seesaw state step decreased the value")
+        return real(expr, params)
+
+    monkeypatch.setattr(cli, "quantum_maximum", flaky)
+    out_path = tmp_path / "report.json"
+    csv_path = tmp_path / "report.csv"
+    code, out, _ = run(capsys, "tables", "--restarts", "4",
+                       "--out", str(out_path), "--csv", str(csv_path))
+    assert code == cli.EXIT_ERROR == 4
+    assert "id 17  error: RuntimeError: seesaw state step decreased the value" in out
+
+    report = json.loads(out_path.read_text())
+    rows = report["rows"]
+    assert [row["id"] for row in rows] == list(range(1, 47))
+    errors = [row for row in rows if row.get("status") == "error"]
+    assert errors == [{"id": 17, "status": "error",
+                       "error": "RuntimeError: seesaw state step decreased the value"}]
+    assert report["summary"]["errors"] == 1
+    for row in rows:
+        if row["id"] != 17:
+            assert row["local_bound"]["status"] == "match"
+            assert row["fixture_value"]["status"] == "match"
+            assert row["classes"]["status"] == "match"
+
+    with open(csv_path, newline="") as handle:
+        table = list(csv.reader(handle))
+    assert len(table) == 47
+    assert table[17][0] == "17" and table[17][-1] == "error"
+    assert all(len(line) == len(table[0]) for line in table)

@@ -10,11 +10,15 @@ from tribell.qcore import (
     Observable,
     PureState,
     bell_operator,
+    bell_operators,
+    correlations,
     expectation,
     max_eigenpair,
     observable_matrix,
+    observable_rows,
     partial_transpose,
     reduced_density,
+    slot_response,
 )
 
 rng = np.random.default_rng(20260817)
@@ -211,3 +215,60 @@ def test_partial_transpose_positive_on_products():
     rho = np.outer(vec, vec.conj())
     for subsystem in (0, 1):
         assert np.linalg.eigvalsh(partial_transpose(rho, subsystem))[0] > -1e-12
+
+
+def _random_slot(gen) -> Observable:
+    """A Bloch observable, or ±identity one time in three."""
+    pick = int(gen.integers(3))
+    if pick == 0:
+        return Observable.from_bloch(*random_bloch(gen))
+    return PLUS_IDENTITY if pick == 1 else MINUS_IDENTITY
+
+
+def _kron_reference(expr, observables) -> np.ndarray:
+    """Sum of T_ijk kron(A_i, B_j, C_k), with index 0 the identity."""
+    stacks = [[np.eye(2), observable_matrix(observables[2 * p]),
+               observable_matrix(observables[2 * p + 1])] for p in range(3)]
+    tensor = expr.tensor()
+    operator = np.zeros((8, 8), dtype=complex)
+    for i, j, k in np.ndindex(3, 3, 3):
+        if tensor[i, j, k]:
+            operator += tensor[i, j, k] * np.kron(
+                np.kron(stacks[0][i], stacks[1][j]), stacks[2][k])
+    return operator
+
+
+def test_bell_operator_matches_kron_reference():
+    gen = np.random.default_rng(31)
+    expr = parse_expression("2 A - a + BC - 3 ABC + abc - Ab + 4 aBc + bC")
+    for _ in range(40):
+        observables = tuple(_random_slot(gen) for _ in range(6))
+        operator = bell_operator(expr, observables)
+        reference = _kron_reference(expr, observables)
+        assert np.max(np.abs(operator - reference)) < 1e-12
+        # Random entangled states see the same quadratic form.
+        state = random_state(gen)
+        assert abs(expectation(state, operator) - expectation(state, reference)) < 1e-12
+
+
+def test_batched_kernel_matches_single_calls():
+    gen = np.random.default_rng(32)
+    expr = parse_expression("ABC + abC + aBc - Abc + 2 aB - c")
+    tensor = expr.tensor().astype(float)
+    batch = [tuple(_random_slot(gen) for _ in range(6)) for _ in range(7)]
+    states = np.array([random_state(gen).amplitudes for _ in batch])
+    rows = np.array([observable_rows(observables) for observables in batch])
+    operators = bell_operators(tensor, rows)
+    corr = correlations(states)
+    for n, observables in enumerate(batch):
+        single_operator = bell_operator(expr, observables)
+        assert np.max(np.abs(operators[n] - single_operator)) < 1e-12
+        state = PureState(states[n])
+        value = expectation(state, operators[n])
+        for party in range(3):
+            single = slot_response(tensor, rows[n:n + 1],
+                                   correlations(states[n:n + 1]), party)
+            batched = slot_response(tensor, rows, corr, party)[n]
+            assert np.allclose(batched, single[0], rtol=0.0, atol=1e-12)
+            # The value is linear in each party's rows through its response.
+            assert abs(np.sum(rows[n, party] * batched) - value) < 1e-12
