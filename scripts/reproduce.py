@@ -4,8 +4,8 @@
 Recomputes local bounds, seesaw maxima, fixture evaluations and class
 assignments for the whole catalog and writes report.json (plus a flat
 CSV) into the chosen directory. Exit code follows the tables command:
-0 all match, 2 any mismatch, 3 solver trouble, 4 a row failed with an
-error.
+0 all match, 1 bad options, 2 any mismatch, 3 solver trouble, 4 a row
+failed with an error or an embedded table failed its integrity check.
 """
 
 import argparse
@@ -21,7 +21,7 @@ def main() -> int:
     parser.add_argument("--restarts", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--npa", action="append", choices=["q1", "1ab", "aq", "q2"],
-                        help="also certify this moment-matrix level (repeatable, slow)")
+                        help="also certify this moment-matrix level (repeatable)")
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)

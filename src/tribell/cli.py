@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and, for ``tables``, zero mismatches), 1 usage error,
 2 computation mismatch, 3 solver non-convergence, 4 a ``tables`` row failed
-with an error.
+with an error or an embedded table failed its integrity check.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .bell_expr import (
     BellExpression,
     BellParseError,
+    CatalogIntegrityError,
     catalog_entry,
     format_expression,
     load_catalog,
@@ -30,15 +31,17 @@ from .fixtures import (
     INCOMPATIBILITY_CLASS_TOL,
     PROFILE_TOL,
     VALUE_TOL,
+    FixtureIntegrityError,
     fixture_record,
     fixture_solution,
+    load_reference_table,
 )
 from .monotones import (
     DEFAULT_CLASS_TOL,
     classify_incompatibility,
     entanglement_profile,
 )
-from .npa import SdpParams, build_moment_problem, rigor_margin, sdp_maximize
+from .npa import SdpParams, npa_solve
 from .qcore import Observable, PureState
 from .seesaw import SeesawParams, Solution, quantum_maximum
 
@@ -75,6 +78,14 @@ def _parse_ident(text: str) -> int:
     if not 1 <= ident <= 46:
         raise UsageError(f"inequality id must be 1..46, got {ident}")
     return ident
+
+
+def _params(cls, **kwargs):
+    """Solver parameters from options; an out-of-range value is a usage error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise UsageError(str(err))
 
 
 def _parse_target(text: str) -> tuple[int | None, BellExpression]:
@@ -114,6 +125,7 @@ def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams | 
         "measurements": [_observable_doc(obs) for obs in solution.measurements],
         "sweeps_used": solution.sweeps_used,
         "restart_index": solution.restart_index,
+        "capped_restarts": solution.capped_restarts,
     }
     if params is not None:
         doc["parameters"] = {
@@ -140,6 +152,7 @@ def _solution_from_doc(doc: dict) -> Solution:
         value=float(doc.get("value", 0.0)),
         sweeps_used=int(doc.get("sweeps_used", 0)),
         restart_index=int(doc.get("restart_index", 0)),
+        capped_restarts=int(doc.get("capped_restarts", 0)),
     )
 
 
@@ -197,11 +210,8 @@ def _cmd_local(args) -> int:
 
 def _cmd_qmax(args) -> int:
     ident = _parse_ident(args.id)
-    params = SeesawParams(
-        restarts=args.restarts,
-        convergence_tol=args.tol,
-        master_seed=args.seed,
-    )
+    params = _params(SeesawParams, restarts=args.restarts, convergence_tol=args.tol,
+                     master_seed=args.seed)
     solution = quantum_maximum(catalog_entry(ident).expression, params)
     classes = _classes_for(solution, DEFAULT_CLASS_TOL, DEFAULT_CLASS_TOL)
     if args.json:
@@ -226,24 +236,12 @@ def _cmd_qmax(args) -> int:
     return EXIT_OK
 
 
-def _solve_npa(expr: BellExpression, level: str, params: SdpParams):
-    """Bound plus the solver record; RuntimeError when the cap is hit."""
-    problem = build_moment_problem(expr, level)
-    solution = sdp_maximize(problem, params)
-    if solution.status != "converged":
-        raise RuntimeError(
-            f"moment-matrix solve at level {level} hit the iteration cap "
-            f"(residuals {solution.primal_residual:.2e}/{solution.dual_residual:.2e})"
-        )
-    return solution.objective_value + rigor_margin(problem, solution), solution
-
-
 def _cmd_npa(args) -> int:
     ident, expr = _parse_target(args.target)
     level = _LEVEL_TOKENS[args.level]
-    params = SdpParams(tolerance=args.tol, max_iterations=args.max_iterations)
+    params = _params(SdpParams, tolerance=args.tol, max_iterations=args.max_iterations)
     try:
-        bound, solution = _solve_npa(expr, level, params)
+        solution = npa_solve(expr, level, params)
     except ValueError as err:
         raise UsageError(str(err))
     except RuntimeError as err:
@@ -254,7 +252,7 @@ def _cmd_npa(args) -> int:
             "schema": NPA_SCHEMA,
             "id": ident,
             "level": level,
-            "bound": bound,
+            "bound": solution.bound,
             "objective_value": solution.objective_value,
             "primal_residual": solution.primal_residual,
             "dual_residual": solution.dual_residual,
@@ -263,7 +261,7 @@ def _cmd_npa(args) -> int:
         }, indent=2))
         return EXIT_OK
     print(f"level        {level}")
-    print(f"upper bound  {bound:.9f}")
+    print(f"upper bound  {solution.bound:.9f}")
     print(f"residuals    primal {solution.primal_residual:.3e}  dual {solution.dual_residual:.3e}")
     print(f"iterations   {solution.iterations}")
     return EXIT_OK
@@ -314,6 +312,7 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
 
     solution = quantum_maximum(entry.expression, seesaw_params)
     row["seesaw_value"] = _check(solution.value, record.maximum, VALUE_TOL[record.kind])
+    row["seesaw_value"]["capped_restarts"] = solution.capped_restarts
 
     fixture = fixture_solution(ident)
     row["fixture_value"] = _check(fixture.value, record.maximum, FIXTURE_TOL[record.kind])
@@ -349,7 +348,7 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
     row["npa_bounds"] = {}
     for level in npa_levels:
         try:
-            npa_bound, npa_solution = _solve_npa(entry.expression, level, npa_params)
+            npa_solution = npa_solve(entry.expression, level, npa_params)
         except ValueError as err:
             row["npa_bounds"][level] = {"status": "skipped", "reason": str(err)}
             continue
@@ -357,12 +356,12 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
             row["npa_bounds"][level] = {"status": "no-convergence", "error": str(err)}
             continue
         cell = {
-            "bound": npa_bound,
+            "bound": npa_solution.bound,
             "iterations": npa_solution.iterations,
             "status": "computed",
         }
         if level == "AQ" and record.kind == "closed" and ident not in AQ_ANOMALY_IDS:
-            cell = {**cell, **_check(npa_bound, record.maximum, AQ_TOL)}
+            cell = {**cell, **_check(npa_solution.bound, record.maximum, AQ_TOL)}
         row["npa_bounds"][level] = cell
     if not npa_levels:
         row["npa_bounds"] = {"status": "skipped"}
@@ -389,10 +388,13 @@ def _row_statuses(row: dict):
 
 
 def _cmd_tables(args) -> int:
-    seesaw_params = SeesawParams(restarts=args.restarts, master_seed=args.seed)
+    seesaw_params = _params(SeesawParams, restarts=args.restarts, master_seed=args.seed)
     npa_levels = [_LEVEL_TOKENS[token] for token in args.npa or []]
-    npa_params = SdpParams(tolerance=args.tol, max_iterations=args.max_iterations)
+    npa_params = _params(SdpParams, tolerance=args.tol, max_iterations=args.max_iterations)
     started = time.perf_counter()
+    # A damaged embedded table fails the whole command here, not every row.
+    load_catalog()
+    load_reference_table()
     ordered = []
     for ident in range(1, 47):
         # A failure in one row is recorded there and does not sink the report.
@@ -545,6 +547,9 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (CatalogIntegrityError, FixtureIntegrityError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

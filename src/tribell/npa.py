@@ -1,14 +1,15 @@
 """Moment-matrix upper bounds on quantum maxima (NPA hierarchy).
 
-A word is a product of outcome projectors, one symbol per factor, where
-symbol (party, setting) is the +1-outcome projector of that party's
-setting. Projectors of distinct parties commute and projectors are
-idempotent, which gives every word the canonical form computed by
+A word is a product of +-1 observables, one symbol per factor, where
+symbol (party, setting) is that party's observable for that setting.
+Observables of distinct parties commute and each squares to the identity
+(A^2 = 1), which gives every word the canonical form computed by
 ``canonicalize_word``. The moment matrix Gamma is indexed by a level's
 word list and cell (u, v) holds the moment of canonical(reverse(u) v);
-cells sharing a canonical word form an equality class. Since moments of
-a word and its reverse agree for the optimal value, both are mapped to
-one class representative and Gamma is real symmetric.
+cells sharing a canonical word form an equality class, and every
+diagonal cell is in the identity class, so Gamma has a unit diagonal.
+Moments of a word and its reverse agree for the optimal value, so both
+map to one class representative and Gamma is real symmetric.
 
 The bound is computed by an operator-splitting (ADMM) iteration that
 alternates projection onto the affine class structure with projection
@@ -19,7 +20,7 @@ safety margin on top of the reported objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -32,8 +33,8 @@ __all__ = [
     "SdpSolution",
     "build_moment_problem",
     "canonicalize_word",
-    "expand_correlator",
     "generate_words",
+    "npa_solve",
     "npa_upper_bound",
     "sdp_maximize",
 ]
@@ -47,34 +48,35 @@ def _check_word(word) -> Word:
     word = tuple(tuple(symbol) for symbol in word)
     for party, setting in word:
         if party not in (1, 2, 3) or setting not in (1, 2):
-            raise ValueError(f"bad projector symbol {(party, setting)!r}")
+            raise ValueError(f"bad observable symbol {(party, setting)!r}")
     return word
 
 
 def canonicalize_word(word) -> Word:
-    """Stable-sort symbols by party, then collapse adjacent duplicates."""
-    word = _check_word(word)
-    ordered = sorted(word, key=lambda symbol: symbol[0])
-    return tuple(symbol for symbol, _ in groupby(ordered))
-
-
-def _reverse_canonical(word: Word) -> Word:
-    return canonicalize_word(tuple(reversed(word)))
+    """Stable-sort symbols by party, then cancel adjacent equal pairs."""
+    stack: list[tuple[int, int]] = []
+    for symbol in sorted(_check_word(word), key=lambda symbol: symbol[0]):
+        if stack and stack[-1] == symbol:
+            stack.pop()
+        else:
+            stack.append(symbol)
+    return tuple(stack)
 
 
 def _class_representative(word: Word) -> Word:
     """Moments of a word and its reverse are identified; the class is
     named by the lexicographically smaller of the two."""
-    return min(word, _reverse_canonical(word))
+    return min(word, canonicalize_word(word[::-1]))
 
 
 def generate_words(level: str) -> list[Word]:
     """Canonical word list of a level, identity first.
 
-    Q1 is the identity and the six single projectors; 1+AB adds the
+    Q1 is the identity and the six single observables; 1+AB adds the
     twelve cross-party pairs; AQ adds the eight one-per-party triples;
     Q2 instead adds to Q1 all length-2 canonical words (cross-party
-    pairs plus, per party, both orders of its two settings).
+    pairs plus, per party, both orders of its two settings). Each list
+    is closed under subwords; with A^2 = 1 Gamma's diagonal is the identity.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
@@ -99,36 +101,6 @@ def generate_words(level: str) -> list[Word]:
             ((1, s), (2, t), (3, u)) for s, t, u in product((1, 2), repeat=3)
         ]
     return words
-
-
-def expand_correlator(term: tuple[int, int, int]) -> tuple[dict[Word, float], float]:
-    """Expansion of a +-1 correlator term into projector moments.
-
-    Each active party's observable is 2 Pi - 1; the product expands
-    multilinearly into words over the active-party subsets. Returns the
-    coefficients of the nonempty canonical words and the constant.
-    """
-    active = [party for party, t in enumerate(term) if t != 0]
-    for t in term:
-        if t not in (0, 1, 2):
-            raise ValueError("term indices must lie in {0, 1, 2}")
-    coeffs: dict[Word, float] = {}
-    constant = 0.0
-    for bits in product((0, 1), repeat=len(active)):
-        weight = 1.0
-        symbols = []
-        for party, bit in zip(active, bits):
-            if bit:
-                weight *= 2.0
-                symbols.append((party + 1, term[party]))
-            else:
-                weight *= -1.0
-        if symbols:
-            word = canonicalize_word(symbols)
-            coeffs[word] = coeffs.get(word, 0.0) + weight
-        else:
-            constant += weight
-    return coeffs, constant
 
 
 @dataclass(frozen=True)
@@ -156,6 +128,8 @@ class SdpParams:
             raise ValueError("over_relaxation must lie in (0, 2)")
         if self.tolerance <= 0.0 or self.penalty <= 0.0:
             raise ValueError("tolerance and penalty must be positive")
+        if self.max_iterations < 1 or self.adapt_interval < 1:
+            raise ValueError("max_iterations and adapt_interval must be positive")
 
 
 @dataclass(frozen=True)
@@ -166,6 +140,7 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     status: str
+    bound: float
     gamma: np.ndarray = field(repr=False, compare=False, default=None)
 
 
@@ -184,15 +159,15 @@ def build_moment_problem(expr: BellExpression, level: str) -> MomentProblem:
             rep = _class_representative(canonicalize_word(ru + v))
             classes.setdefault(rep, []).append(i * n + j)
 
+    # A correlator term is the moment of its one-per-party word.
     objective: dict[Word, float] = {}
     constant = 0.0
     for term, coeff in expr.coeffs.items():
-        expansion, offset = expand_correlator(term)
-        constant += coeff * offset
-        for word, weight in expansion.items():
-            rep = _class_representative(word)
-            objective[rep] = objective.get(rep, 0.0) + coeff * weight
-    objective = {word: w for word, w in objective.items() if w != 0.0}
+        word = tuple((party, t) for party, t in enumerate(term, start=1) if t)
+        if word:
+            objective[word] = float(coeff)
+        else:
+            constant = float(coeff)
 
     unreachable = sorted(word for word in objective if word not in classes)
     if unreachable:
@@ -279,24 +254,36 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
         dual_residual=dual,
         iterations=iteration,
         status="converged" if converged else "max_iterations",
+        bound=objective_value + _margin(problem, primal, dual),
         gamma=z,
     )
 
 
+def _margin(problem: MomentProblem, primal: float, dual: float) -> float:
+    return 10.0 * max(primal, dual) * sum(abs(w) for w in problem.objective.values())
+
+
 def rigor_margin(problem: MomentProblem, solution: SdpSolution) -> float:
     """Safety margin on the sdp objective: 10 max(residuals) times the
-    objective coefficient 1-norm."""
-    margin = 10.0 * max(solution.primal_residual, solution.dual_residual)
-    return margin * sum(abs(w) for w in problem.objective.values())
+    objective coefficient 1-norm. ``solution.bound`` already includes it."""
+    return _margin(problem, solution.primal_residual, solution.dual_residual)
 
 
-def npa_upper_bound(expr: BellExpression, level: str, params: SdpParams = SdpParams()) -> float:
-    """Certified-style upper bound: sdp objective plus ``rigor_margin``."""
-    problem = build_moment_problem(expr, level)
-    solution = sdp_maximize(problem, params)
+def npa_solve(expr: BellExpression, level: str, params: SdpParams = SdpParams()) -> SdpSolution:
+    """Build and solve the moment problem of an expression at a level.
+
+    Raises ValueError when the level cannot express the objective and
+    RuntimeError when the solve hits the iteration cap.
+    """
+    solution = sdp_maximize(build_moment_problem(expr, level), params)
     if solution.status != "converged":
         raise RuntimeError(
             f"moment-matrix solve at level {level} hit the iteration cap "
             f"(residuals {solution.primal_residual:.2e}/{solution.dual_residual:.2e})"
         )
-    return solution.objective_value + rigor_margin(problem, solution)
+    return solution
+
+
+def npa_upper_bound(expr: BellExpression, level: str, params: SdpParams = SdpParams()) -> float:
+    """Certified-style upper bound: sdp objective plus ``rigor_margin``."""
+    return npa_solve(expr, level, params).bound

@@ -75,6 +75,8 @@ class Solution:
     sweeps_used: int
     restart_index: int
     value_trace: tuple[float, ...] | None = None
+    # Restarts that stopped at max_sweeps without converging.
+    capped_restarts: int = 0
 
 
 def best_state(expr: BellExpression, observables) -> tuple[float, PureState]:
@@ -111,7 +113,7 @@ def seesaw_run(expr: BellExpression, seed: int, params: SeesawParams) -> Solutio
     """One seeded run; the returned solution carries its per-sweep value trace."""
     streams = [np.random.SeedSequence(seed)]
     runs = _run_batch(expr.tensor().astype(float), streams, params, keep_trace=True)
-    return _solution_from_run(runs[0], restart_index=0, with_trace=True)
+    return _solution_from_run(runs, restart_index=0, with_trace=True)
 
 
 def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams()) -> Solution:
@@ -124,10 +126,11 @@ def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams())
     runs = _run_batch(expr.tensor().astype(float), streams, params, keep_trace=False)
     values = np.array([run["value"] for run in runs])
     best = int(np.argmax(values))
-    return _solution_from_run(runs[best], restart_index=best, with_trace=False)
+    return _solution_from_run(runs, restart_index=best, with_trace=False)
 
 
-def _solution_from_run(run, restart_index: int, with_trace: bool) -> Solution:
+def _solution_from_run(runs, restart_index: int, with_trace: bool) -> Solution:
+    run = runs[restart_index]
     return Solution(
         state=PureState(run["state"]),
         measurements=tuple(_decode_observable(row) for row in run["rows"]),
@@ -135,6 +138,7 @@ def _solution_from_run(run, restart_index: int, with_trace: bool) -> Solution:
         sweeps_used=int(run["sweeps"]),
         restart_index=restart_index,
         value_trace=tuple(run["trace"]) if with_trace else None,
+        capped_restarts=sum(not other["converged"] for other in runs),
     )
 
 
@@ -249,6 +253,7 @@ def _run_batch(tensor, streams, params, keep_trace):
             "rows": rows[i, :, 1:].reshape(6, 4).copy(),
             "value": float(values[i]),
             "sweeps": int(sweeps_used[i]),
+            "converged": bool(converged[i]),
             "trace": traces[i] if keep_trace else None,
         }
         for i in range(n)

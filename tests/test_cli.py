@@ -41,6 +41,10 @@ def test_show_known_row(capsys):
     ("qmax", "0"),
     (),
     ("frobnicate",),
+    ("qmax", "2", "--restarts", "0"),
+    ("tables", "--restarts", "0"),
+    ("npa", "2", "--level", "1ab", "--tol", "0"),
+    ("npa", "2", "--level", "1ab", "--max-iterations", "0"),
 ])
 def test_usage_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -86,6 +90,7 @@ def test_qmax_is_reproducible(capsys):
     assert len(doc["state"]["re"]) == 8
     assert len(doc["measurements"]) == 6
     assert doc["classes"]["entanglement_tol"] > 0
+    assert doc["capped_restarts"] == 0
 
 
 def test_classify_fixture_rows(capsys):
@@ -161,6 +166,9 @@ def test_tables_full_run(capsys, tmp_path):
             assert cell["status"] == ("match" if matches else "mismatch")
         assert row["npa_bounds"] == {"status": "skipped"}
     assert report["summary"]["mismatches"] == 0
+    capped = cli.quantum_maximum(catalog_entry(17).expression,
+                                 cli.SeesawParams(restarts=40)).capped_restarts
+    assert report["rows"][16]["seesaw_value"]["capped_restarts"] == capped
 
     with open(csv_path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -214,3 +222,18 @@ def test_tables_contains_a_failing_row(capsys, tmp_path, monkeypatch):
     assert len(table) == 47
     assert table[17][0] == "17" and table[17][-1] == "error"
     assert all(len(line) == len(table[0]) for line in table)
+
+
+def test_tables_integrity_failure_is_one_error(capsys, monkeypatch):
+    import tribell.fixtures as fixtures
+
+    fixtures.load_reference_table.cache_clear()
+    monkeypatch.setattr(fixtures, "_TABLE_SHA256", "0" * 64)
+    try:
+        code, out, err = run(capsys, "tables", "--restarts", "2")
+    finally:
+        fixtures.load_reference_table.cache_clear()
+    assert code == cli.EXIT_ERROR == 4
+    assert err.startswith("error: ")
+    assert err.count("checksum mismatch") == 1
+    assert "id " not in out

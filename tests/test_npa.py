@@ -11,7 +11,6 @@ from tribell.npa import (
     SdpParams,
     build_moment_problem,
     canonicalize_word,
-    expand_correlator,
     generate_words,
     npa_upper_bound,
     rigor_margin,
@@ -46,9 +45,10 @@ def test_generate_words_rejects_unknown_level():
 
 def test_canonicalize_examples():
     assert canonicalize_word(((2, 1), (1, 1))) == ((1, 1), (2, 1))
-    assert canonicalize_word(((1, 1), (1, 1))) == ((1, 1),)
+    assert canonicalize_word(((1, 1), (1, 1))) == ()
     assert canonicalize_word(((1, 2), (1, 1))) == ((1, 2), (1, 1))
-    assert canonicalize_word(((3, 1), (1, 2), (3, 1))) == ((1, 2), (3, 1))
+    assert canonicalize_word(((3, 1), (1, 2), (3, 1))) == ((1, 2),)
+    assert canonicalize_word(((1, 1), (1, 2), (1, 2), (1, 1))) == ()
     assert canonicalize_word(()) == ()
     with pytest.raises(ValueError):
         canonicalize_word(((4, 1),))
@@ -67,44 +67,31 @@ def test_canonicalize_is_idempotent_and_party_sorted(word):
 
 
 @given(words)
-def test_canonicalize_keeps_party_multiset_order(word):
-    """Within one party the setting sequence survives (projectors of one
-    party do not commute), only duplicates collapse."""
+def test_canonicalize_word_times_its_reverse_is_identity(word):
+    """Every observable squares to the identity, so w reverse(w) = 1."""
+    assert canonicalize_word(word + tuple(reversed(word))) == ()
+
+
+@given(words)
+def test_canonicalize_keeps_symbol_parity(word):
+    """Cancellation removes equal symbols in pairs."""
     canonical = canonicalize_word(word)
-    for party in (1, 2, 3):
-        original = [s for p, s in word if p == party]
-        deduped = [s for s, _ in __import__("itertools").groupby(original)]
-        assert [s for p, s in canonical if p == party] == deduped
+    for symbol in set(word):
+        assert canonical.count(symbol) % 2 == word.count(symbol) % 2
 
 
-def test_expand_correlator_single_party():
-    coeffs, constant = expand_correlator((1, 0, 0))
-    assert coeffs == {((1, 1),): 2.0}
-    assert constant == -1.0
+def test_objective_reads_correlator_coefficients():
+    problem = build_moment_problem(parse_expression("2 + AB - abC"), "AQ")
+    assert problem.objective == {((1, 1), (2, 1)): 1, ((1, 2), (2, 2), (3, 1)): -1}
+    assert problem.constant == 2
 
 
-def test_expand_correlator_two_party():
-    coeffs, constant = expand_correlator((1, 2, 0))
-    assert coeffs == {
-        ((1, 1), (2, 2)): 4.0,
-        ((1, 1),): -2.0,
-        ((2, 2),): -2.0,
-    }
-    assert constant == 1.0
-
-
-def test_expand_correlator_constant_term():
-    coeffs, constant = expand_correlator((0, 0, 0))
-    assert coeffs == {}
-    assert constant == 1.0
-
-
-def test_expand_correlator_three_party_weights():
-    coeffs, constant = expand_correlator((2, 1, 2))
-    assert constant == -1.0
-    assert coeffs[((1, 2), (2, 1), (3, 2))] == 8.0
-    assert coeffs[((1, 2), (2, 1))] == -4.0
-    assert coeffs[((1, 2),)] == 2.0
+def test_diagonal_cells_are_identity_at_every_level():
+    for level in LEVELS:
+        problem = build_moment_problem(CHSH, level)
+        n = problem.size
+        diagonal = {i * n + i for i in range(n)}
+        assert diagonal <= set(problem.classes[()]), level
 
 
 def test_moment_problem_cells_follow_word_algebra():
@@ -149,6 +136,10 @@ def test_sdp_params_validation():
         SdpParams(tolerance=0.0)
     with pytest.raises(ValueError):
         SdpParams(penalty=-1.0)
+    with pytest.raises(ValueError):
+        SdpParams(max_iterations=0)
+    with pytest.raises(ValueError):
+        SdpParams(adapt_interval=0)
 
 
 def test_chsh_tsirelson_bound():
@@ -188,17 +179,24 @@ def test_solution_record_fields():
     assert solution.dual_residual < QUICK_SDP.tolerance
     assert solution.iterations <= QUICK_SDP.max_iterations
     assert solution.moment_values[()] == 1.0
+    # Tsirelson correlators <A_x B_y> = +-1/sqrt(2) in the CHSH sign pattern,
+    # and zero marginals.
+    for x, y in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        sign = -1 if (x, y) == (2, 2) else 1
+        moment = solution.moment_values[((1, x), (2, y))]
+        assert moment == pytest.approx(sign / math.sqrt(2), abs=1e-5)
     for word in generate_words("Q1")[1:]:
-        assert -1e-6 <= solution.moment_values[min(word, word)] <= 1 + 1e-6
+        assert solution.moment_values[word] == pytest.approx(0.0, abs=1e-5)
     assert solution.gamma.shape == (7, 7)
     assert np.allclose(solution.gamma, solution.gamma.T)
     margin = rigor_margin(problem, solution)
     assert 0 <= margin < 1e-5
+    assert solution.bound == solution.objective_value + margin
 
 
 def test_non_convergence_raises():
     starving = SdpParams(max_iterations=5, tolerance=1e-12)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="iteration cap"):
         npa_upper_bound(CHSH, "1+AB", starving)
     problem = build_moment_problem(CHSH, "1+AB")
     solution = sdp_maximize(problem, starving)

@@ -123,6 +123,14 @@ def test_quantum_maximum_dominates_local_bound():
         assert 0 <= solution.restart_index < QUICK.restarts
 
 
+def test_capped_restarts_are_counted():
+    """Five of id 17's 200 seed-0 restarts stop at max_sweeps unconverged."""
+    solution = quantum_maximum(catalog_entry(17).expression,
+                               SeesawParams(restarts=200, master_seed=0))
+    assert solution.capped_restarts == 5
+    assert quantum_maximum(catalog_entry(2).expression, QUICK).capped_restarts == 0
+
+
 def test_evaluate_solution_on_handmade_solution():
     # <A> on |0..> with A = sigma_z is 1.
     expr = parse_expression("A")
