@@ -140,6 +140,9 @@ class PureState:
 # (0, n) and ±identity is (±1, 0, 0, 0). Row mu of _PAULI_ENTRIES lists the
 # entries (a, d) of sigma_mu.
 _PAULI_ENTRIES = np.stack([np.eye(2, dtype=complex), sigma_x, sigma_y, sigma_z]).reshape(4, 4)
+# Its real part: the same table with the row of sigma_y, whose entries are
+# imaginary, set to zero.
+_REAL_ENTRIES = _PAULI_ENTRIES.real.copy()
 # Axis orders of an (n, 8, 8) operator split into qubit indices: (a, b, c, d,
 # e, f) to the per-qubit entry pairs (a, d, b, e, c, f), and back.
 _TO_PAIRS = (0, 1, 4, 2, 5, 3, 6)
@@ -189,19 +192,32 @@ def _open_party(tensor: np.ndarray, rows: np.ndarray, party: int) -> np.ndarray:
     return np.swapaxes(rows[:, first], 1, 2)[:, None] @ half
 
 
-def bell_operators(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(n, 8, 8) Bell operators of an (n, 3, 3, 4) batch of rows."""
+def bell_operators(tensor: np.ndarray, rows: np.ndarray, real: bool = False) -> np.ndarray:
+    """(n, 8, 8) Bell operators of an (n, 3, 3, 4) batch of rows.
+
+    With ``real=True`` the operators are built in real arithmetic from the
+    real part of the Pauli entry table. That is exact, and the operators are
+    real symmetric, when every row has ``ry = 0``: sigma_y then has weight 0.
+    """
     opened = _open_party(tensor, rows, 0).reshape(-1, 3, 16)
     weights = (np.swapaxes(rows[:, 0], 1, 2) @ opened).reshape(-1, 4, 4, 4)
-    pairs = _per_qubit(weights, _PAULI_ENTRIES).reshape((-1,) + (2,) * 6)
+    entries = _REAL_ENTRIES if real else _PAULI_ENTRIES
+    pairs = _per_qubit(weights, entries).reshape((-1,) + (2,) * 6)
     return pairs.transpose(_FROM_PAIRS).reshape(-1, 8, 8)
 
 
-def correlations(states: np.ndarray) -> np.ndarray:
-    """(n, 4, 4, 4) correlation tensors <psi|s_mu ⊗ s_nu ⊗ s_lam|psi> of (n, 8) states."""
+def correlations(states: np.ndarray, real: bool = False) -> np.ndarray:
+    """(n, 4, 4, 4) correlation tensors <psi|s_mu ⊗ s_nu ⊗ s_lam|psi> of (n, 8) states.
+
+    With ``real=True`` the states must be real and the tensors are computed
+    in real arithmetic: the entries over {I, X, Z}^3 are exact and every
+    entry with a y index is 0. That is all a response needs when the rows
+    it is contracted with have ``ry = 0``.
+    """
     outer = (states.conj()[:, :, None] * states[:, None, :]).reshape((-1,) + (2,) * 6)
     pairs = outer.transpose(_TO_PAIRS).reshape(-1, 4, 4, 4)
-    return _per_qubit(pairs, _PAULI_ENTRIES.T).real
+    entries = _REAL_ENTRIES if real else _PAULI_ENTRIES
+    return _per_qubit(pairs, entries.T).real
 
 
 def slot_response(tensor: np.ndarray, rows: np.ndarray, corr: np.ndarray,

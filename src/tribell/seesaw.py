@@ -2,10 +2,11 @@
 
 The optimizer alternates two exact coordinate updates: the state step
 replaces the state by the top eigenvector of the current Bell operator,
-and the observable step replaces one measurement by the best choice in
+and the observable step replaces a measurement by the best choice in
 ``{+identity, -identity} ∪ {n . sigma}`` while everything else is held
-fixed. Both steps are closed-form, so every sweep is monotone in the
-objective up to floating-point noise.
+fixed. A party's two settings do not interact, so the batched runs update
+both at once. Both steps are closed-form, so every sweep is monotone in
+the objective up to floating-point noise.
 
 Restarts are independent: restart ``i`` draws its initial state and Bloch
 vectors from a stream derived from ``(master_seed, i)``, so results do
@@ -18,6 +19,21 @@ Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
 measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the
 Bell operators built from the rows, and the observable steps read every
 slot's trace and gradient off the state's correlation tensor.
+
+The batched runs fix a real gauge. Two unit vectors ``a, b`` can be
+rotated together onto ``(1, 0, 0)`` and ``(a.b, 0, |a x b|)``, and a
+rotation of one party's Bloch vectors is a local unitary, which changes no
+value (Masanes, quant-ph/0512100: qubits with real measurements suffice
+for two dichotomic observables per site). After its draws, each restart's
+six vectors are rotated this way, party by party. Every row then has
+``ry = 0``, so the Bell operators are real symmetric, the top
+eigenvectors real, and the optimal Bloch vectors stay in the x-z plane:
+past the starting value, a run is real arithmetic with the same values
+sweep by sweep. The solutions it returns are real states with x-z
+measurements, one representative of their class under local unitaries.
+Where the top eigenspace is degenerate (id 23, whose party C ends on the
+identity), the state a restart picks in it, and so its path, depends on
+rounding and may differ from an un-rotated run.
 """
 
 from __future__ import annotations
@@ -51,6 +67,12 @@ __all__ = [
 
 _TIE_TOL = 1e-12
 _MONOTONE_SLACK = 1e-9
+# Restart values that differ by rounding alone tie, relative to the scale of
+# the expression: the top eigenvalue of an 8x8 operator of norm up to the
+# scale carries an error of about 8 eps times the scale, twice that between
+# two restarts. Restarts that stopped on the convergence tolerance short of
+# the maximum can sit 30 to 150 eps times the scale below it and do not tie.
+_VALUE_TIE_TOL = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -99,7 +121,7 @@ def best_observable(expr: BellExpression, state: PureState, observables, slot: i
     rows = observable_rows(observables)[None]
     tensor = expr.tensor().astype(float)
     response = slot_response(tensor, rows, correlations(state.amplitudes[None]), party)
-    value = float(_update_slot(rows[:, party], response, setting + 1)[0])
+    value = float(_update_settings(rows[:, party], response, slice(setting + 1, setting + 2))[0])
     if np.linalg.norm(response[0, setting + 1]) < 1e-14:
         return value, observables[slot]
     return value, _decode_observable(rows[0, party, setting + 1])
@@ -118,14 +140,19 @@ def seesaw_run(expr: BellExpression, seed: int, params: SeesawParams) -> Solutio
 
 def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams()) -> Solution:
     """Best of ``params.restarts`` independent seeded runs; ties go to the
-    lowest restart index."""
+    lowest restart index.
+
+    Values within rounding of the best tie, so the winner does not depend
+    on the last bits of the arithmetic.
+    """
     streams = [
         np.random.SeedSequence(entropy=params.master_seed, spawn_key=(i,))
         for i in range(params.restarts)
     ]
-    runs = _run_batch(expr.tensor().astype(float), streams, params, keep_trace=False)
+    tensor = expr.tensor().astype(float)
+    runs = _run_batch(tensor, streams, params, keep_trace=False)
     values = np.array([run["value"] for run in runs])
-    best = int(np.argmax(values))
+    best = int(np.argmax(values >= values.max() - _VALUE_TIE_TOL * _scale(tensor)))
     return _solution_from_run(runs, restart_index=best, with_trace=False)
 
 
@@ -149,45 +176,73 @@ def _decode_observable(row) -> Observable:
     return Observable(vector=(float(vec[0]), float(vec[1]), float(vec[2])))
 
 
-def _update_slot(party_rows, response, setting):
-    """Best row for one slot of every restart, written into ``party_rows``.
+def _scale(tensor) -> float:
+    """Size of the values an expression can reach, for relative tolerances."""
+    return 1.0 + float(np.abs(tensor).sum())
 
-    ``party_rows`` and ``response`` are (n, 3, 4): the rows of the slot's
-    party and their linear response. Returns the new values. Bloch wins
-    ties, then +identity; a Bloch incumbent with no usable gradient stays.
+
+def _update_settings(party_rows, response, settings=slice(1, 3)):
+    """Best rows for some settings of one party of every restart.
+
+    ``party_rows`` and ``response`` are (n, 3, 4): the rows of the party
+    and their linear response. The rows of the ``settings`` slice are
+    replaced in place, and the new values are returned. The value is
+    linear in the party's rows and the response does not depend on them,
+    so each setting's choice is the same whether the settings are updated
+    together or one after the other. Per setting, Bloch wins ties, then
+    +identity; a Bloch incumbent with no usable gradient stays.
     """
+    rows = party_rows[:, settings]
+    slots = response[:, settings]
     total = np.einsum("nim,nim->n", party_rows, response)
-    own = np.einsum("nm,nm->n", party_rows[:, setting], response[:, setting])
-    plus = response[:, setting, 0]
+    own = np.einsum("nsm,nsm->ns", rows, slots)
+    plus = slots[:, :, 0]
     minus = -plus
-    gradient = response[:, setting, 1:]
-    gnorm = np.linalg.norm(gradient, axis=1)
+    gradient = slots[:, :, 1:]
+    gnorm = np.linalg.norm(gradient, axis=2)
     usable = gnorm >= 1e-14
-    keeps = ~usable & (party_rows[:, setting, 0] == 0.0)
+    keeps = ~usable & (rows[:, :, 0] == 0.0)
     bloch_value = np.where(usable, gnorm, np.where(keeps, own, -np.inf))
     take_bloch = bloch_value >= np.maximum(plus, minus) - _TIE_TOL
     take_plus = ~take_bloch & (plus >= minus - _TIE_TOL)
 
     update_bloch = take_bloch & usable
-    party_rows[update_bloch, setting, 0] = 0.0
-    party_rows[update_bloch, setting, 1:] = gradient[update_bloch] / gnorm[update_bloch, None]
+    rows[update_bloch, 0] = 0.0
+    rows[update_bloch, 1:] = gradient[update_bloch] / gnorm[update_bloch, None]
     identity = ~take_bloch
-    party_rows[identity, setting] = 0.0
-    party_rows[identity, setting, 0] = np.where(take_plus[identity], 1.0, -1.0)
+    rows[identity] = 0.0
+    rows[identity, 0] = np.where(take_plus[identity], 1.0, -1.0)
     slot_values = np.where(take_bloch, bloch_value, np.where(take_plus, plus, minus))
-    return total - own + slot_values
+    return total + (slot_values - own).sum(axis=1)
 
 
-def _phase_fix(states: np.ndarray) -> np.ndarray:
+def _real_gauge(rows):
+    """Rotate each party's two Bloch vectors in place onto (1, 0, 0) and
+    (a.b, 0, |a x b|).
+
+    ``rows`` is (n, 3, 3, 4) and every setting row is a Bloch row. The map
+    is a proper rotation per party, so a local unitary carries the old
+    Bell operator to the new one and the spectrum is unchanged.
+    """
+    first, second = rows[:, :, 1, 1:], rows[:, :, 2, 1:]
+    dot = np.einsum("npi,npi->np", first, second)
+    sine = np.linalg.norm(np.cross(first, second), axis=2)
+    rows[:, :, 1:, 1:] = 0.0
+    rows[:, :, 1, 1] = 1.0
+    rows[:, :, 2, 1] = dot
+    rows[:, :, 2, 3] = sine
+
+
+def _sign_fix(states: np.ndarray) -> np.ndarray:
+    """Real states with their largest-magnitude amplitude made positive."""
     lead = np.argmax(np.abs(states), axis=1)
-    amps = states[np.arange(states.shape[0]), lead]
-    phases = amps / np.abs(amps)
-    return states * phases.conj()[:, None]
+    signs = np.sign(states[np.arange(states.shape[0]), lead])
+    return states * signs[:, None]
 
 
 def _run_batch(tensor, streams, params, keep_trace):
     n = len(streams)
-    psi = np.empty((n, 8), dtype=complex)
+    start = np.empty((n, 8), dtype=complex)
     # Per restart and party: Pauli rows [identity, first, second setting].
     rows = np.zeros((n, 3, 3, 4))
     rows[:, :, 0, 0] = 1.0
@@ -198,17 +253,21 @@ def _run_batch(tensor, streams, params, keep_trace):
         re = rng.standard_normal(8)
         im = rng.standard_normal(8)
         amp = re + 1j * im
-        psi[i] = amp / np.linalg.norm(amp)
+        start[i] = amp / np.linalg.norm(amp)
         raw = rng.standard_normal((6, 3))
         rows[i, :, 1:, 1:] = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(3, 2, 3)
 
-    values = np.einsum("na,nab,nb->n", psi.conj(), bell_operators(tensor, rows), psi).real
+    # The drawn state only sets the starting value; the first state step
+    # replaces it.
+    values = np.einsum("na,nab,nb->n", start.conj(), bell_operators(tensor, rows), start).real
+    _real_gauge(rows)
+    psi = np.empty((n, 8))
 
     converged = np.zeros(n, dtype=bool)
     sweeps_used = np.full(n, params.max_sweeps, dtype=int)
     traces = [[] for _ in range(n)] if keep_trace else None
 
-    scale = 1.0 + float(np.abs(tensor).sum())
+    slack = _MONOTONE_SLACK * _scale(tensor)
     for sweep in range(1, params.max_sweeps + 1):
         idx = np.flatnonzero(~converged)
         if idx.size == 0:
@@ -216,25 +275,23 @@ def _run_batch(tensor, streams, params, keep_trace):
         start_values = values[idx].copy()
         sub_rows = rows[idx]
 
-        # State step: top eigenpair of the Bell operator per live restart.
-        eigvals, eigvecs = np.linalg.eigh(bell_operators(tensor, sub_rows))
+        # State step: top eigenpair of the real Bell operator per live restart.
+        eigvals, eigvecs = np.linalg.eigh(bell_operators(tensor, sub_rows, real=True))
         new_values = eigvals[:, -1]
-        if np.any(new_values < values[idx] - _MONOTONE_SLACK * scale):
+        if np.any(new_values < values[idx] - slack):
             raise RuntimeError("seesaw state step decreased the value")
         values[idx] = new_values
-        sub_psi = _phase_fix(eigvecs[:, :, -1])
+        sub_psi = _sign_fix(eigvecs[:, :, -1])
         psi[idx] = sub_psi
-        corr = correlations(sub_psi)
+        corr = correlations(sub_psi, real=True)
 
-        # Observable steps. A party's response does not depend on its own
-        # rows, so one response serves both of its settings.
+        # Observable steps, both settings of a party at once.
         for party in range(3):
             response = slot_response(tensor, sub_rows, corr, party)
-            for setting in (1, 2):
-                new_values = _update_slot(sub_rows[:, party], response, setting)
-                if np.any(new_values < values[idx] - _MONOTONE_SLACK * scale):
-                    raise RuntimeError("seesaw observable step decreased the value")
-                values[idx] = new_values
+            new_values = _update_settings(sub_rows[:, party], response)
+            if np.any(new_values < values[idx] - slack):
+                raise RuntimeError("seesaw observable step decreased the value")
+            values[idx] = new_values
         rows[idx] = sub_rows
 
         if keep_trace:

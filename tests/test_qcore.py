@@ -272,3 +272,50 @@ def test_batched_kernel_matches_single_calls():
             assert np.allclose(batched, single[0], rtol=0.0, atol=1e-12)
             # The value is linear in each party's rows through its response.
             assert abs(np.sum(rows[n, party] * batched) - value) < 1e-12
+
+
+def _xz_rows(gen, n: int) -> np.ndarray:
+    """(n, 3, 3, 4) rows with ry = 0: x-z Bloch rows, or ±identity one time in three."""
+    def xz_slot():
+        obs = _random_slot(gen)
+        if obs.is_identity:
+            return obs
+        x, _, z = obs.vector
+        return Observable.from_bloch(x, 0.0, z, normalize=True)
+    return np.array([observable_rows([xz_slot() for _ in range(6)]) for _ in range(n)])
+
+
+def test_real_entry_operators_equal_the_complex_kernel_for_xz_rows():
+    gen = np.random.default_rng(33)
+    expr = parse_expression("2 A - a + BC - 3 ABC + abc - Ab + 4 aBc + bC - c")
+    tensor = expr.tensor().astype(float)
+    rows = _xz_rows(gen, 25)
+    assert np.all(rows[..., 2] == 0.0)
+    complex_ops = bell_operators(tensor, rows)
+    real_ops = bell_operators(tensor, rows, real=True)
+    assert real_ops.dtype == float
+    assert np.all(complex_ops.imag == 0.0)
+    assert np.array_equal(real_ops, complex_ops.real)
+    assert np.array_equal(real_ops, np.swapaxes(real_ops, 1, 2))
+
+
+def test_real_correlations_match_on_xz_entries_of_real_states():
+    gen = np.random.default_rng(34)
+    states = gen.normal(size=(12, 8))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    complex_corr = correlations(states.astype(complex))
+    real_corr = correlations(states, real=True)
+    xz = np.ix_(range(12), (0, 1, 3), (0, 1, 3), (0, 1, 3))
+    assert np.max(np.abs(real_corr[xz] - complex_corr[xz])) < 1e-14
+    # Every entry with a y index is 0; the complex ones with two y indices are not.
+    with_y = np.ones((4, 4, 4), dtype=bool)
+    with_y[np.ix_((0, 1, 3), (0, 1, 3), (0, 1, 3))] = False
+    assert np.all(real_corr[:, with_y] == 0.0)
+    assert np.max(np.abs(complex_corr[:, 2, 2, 0])) > 1e-3
+    # Against rows with ry = 0 the responses agree.
+    tensor = parse_expression("ABC + abC + aBc - Abc + 2 aB - c").tensor().astype(float)
+    rows = _xz_rows(gen, 12)
+    for party in range(3):
+        assert np.allclose(slot_response(tensor, rows, real_corr, party),
+                           slot_response(tensor, rows, complex_corr, party),
+                           rtol=0.0, atol=1e-13)
