@@ -275,9 +275,14 @@ def _cmd_classify(args) -> int:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as err:
             raise UsageError(f"cannot read solution document: {err}")
+        if not isinstance(doc, dict):
+            raise UsageError("solution document is not a JSON object")
         if doc.get("schema") != SOLUTION_SCHEMA:
             raise UsageError(f"unsupported solution schema: {doc.get('schema')!r}")
-        solution = _solution_from_doc(doc)
+        try:
+            solution = _solution_from_doc(doc)
+        except (KeyError, TypeError, ValueError) as err:
+            raise UsageError(f"malformed solution document: {err!r}")
         ent_tol = inc_tol = args.tol if args.tol is not None else DEFAULT_CLASS_TOL
     else:
         record = fixture_record(ident)

@@ -20,7 +20,16 @@ from importlib import resources
 
 import numpy as np
 
-from .qcore import MINUS_IDENTITY, PLUS_IDENTITY, Observable, PureState
+from .bell_expr import catalog_entry
+from .qcore import (
+    _PARTY_INDEX,
+    MINUS_IDENTITY,
+    PLUS_IDENTITY,
+    Observable,
+    PureState,
+    bell_operator,
+    expectation,
+)
 from .seesaw import Solution
 
 __all__ = [
@@ -84,7 +93,6 @@ _KETS = {
     "h-": np.array([-_D_PLUS, _D_MINUS], dtype=complex),
 }
 
-_PARTY_SLOT = {"A": 0, "B": 1, "C": 2}
 _PAIR_SLOTS = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2)}
 
 _EXPR_NAMES = {"sqrt": cmath.sqrt, "pi": math.pi, "I": 1.0j,
@@ -239,9 +247,9 @@ def _parse_state(text: str) -> PureState:
     if match is not None:
         for piece in match.group(1).split(","):
             party, _, angle = piece.partition(":")
-            if party.strip() not in _PARTY_SLOT or not angle:
+            if party.strip() not in _PARTY_INDEX or not angle:
                 raise FixtureIntegrityError(f"bad rotation text: {piece!r}")
-            rotations.append((_PARTY_SLOT[party.strip()], _evaluate_real(angle)))
+            rotations.append((_PARTY_INDEX[party.strip()], _evaluate_real(angle)))
         text = text[match.end():]
     amplitudes = np.zeros((2, 2, 2), dtype=complex)
     for term in _split_terms(text):
@@ -366,9 +374,6 @@ def fixture_solution(ident: int) -> Solution:
     Rows without a state get |000>: with both of their observables at
     +identity per party the value does not depend on the state.
     """
-    from .bell_expr import catalog_entry
-    from .qcore import bell_operator, expectation
-
     try:
         state = build_fixture_state(ident)
     except MissingStateError:

@@ -105,8 +105,7 @@ def bipartite_negativity(state: PureState, party: str) -> float:
     index = _PARTY_INDEX.get(str(party).upper())
     if index is None:
         raise ValueError("party must be one of A, B, C")
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, index))
+    eigs = np.linalg.eigvalsh(partial_transpose(state.density(), index))
     return _clip_unit(-2.0 * eigs[eigs < 0.0].sum())
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "bell_operators",
     "correlations",
     "expectation",
-    "max_eigenpair",
     "observable_rows",
     "partial_transpose",
     "reduced_density",
@@ -61,7 +60,7 @@ class Observable:
         if len(vec) != 3:
             raise ValueError("Bloch vector must have three components")
         norm = float(np.sqrt(vec[0] ** 2 + vec[1] ** 2 + vec[2] ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"Bloch vector norm {norm} is not 1 within {_NORM_TOL}")
         object.__setattr__(self, "vector", vec)
 
@@ -108,7 +107,7 @@ class PureState:
         if amp.shape != (8,):
             raise ValueError("state needs 8 amplitudes")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1 within {_NORM_TOL}")
         amp = amp.copy()
         amp.flags.writeable = False
@@ -140,9 +139,13 @@ class PureState:
 # (0, n) and ±identity is (±1, 0, 0, 0). Row mu of _PAULI_ENTRIES lists the
 # entries (a, d) of sigma_mu.
 _PAULI_ENTRIES = np.stack([np.eye(2, dtype=complex), sigma_x, sigma_y, sigma_z]).reshape(4, 4)
-# Its real part: the same table with the row of sigma_y, whose entries are
-# imaginary, set to zero.
+# The same table with the row of sigma_y replaced by the real -i sigma_y.
+# Since sigma_y = i (-i sigma_y), a correlation with k y indices is i^k v,
+# v its value in this table; for a real state v is real and the correlation
+# is Re(i^k) v.
 _REAL_ENTRIES = _PAULI_ENTRIES.real.copy()
+_REAL_ENTRIES[2] = (-1j * _PAULI_ENTRIES[2]).real
+_REAL_FACTORS = np.array([1.0, 0.0, -1.0, 0.0])[(np.indices((4, 4, 4)) == 2).sum(axis=0)]
 # Axis orders of an (n, 8, 8) operator split into qubit indices: (a, b, c, d,
 # e, f) to the per-qubit entry pairs (a, d, b, e, c, f), and back.
 _TO_PAIRS = (0, 1, 4, 2, 5, 3, 6)
@@ -192,32 +195,31 @@ def _open_party(tensor: np.ndarray, rows: np.ndarray, party: int) -> np.ndarray:
     return np.swapaxes(rows[:, first], 1, 2)[:, None] @ half
 
 
-def bell_operators(tensor: np.ndarray, rows: np.ndarray, real: bool = False) -> np.ndarray:
+def bell_operators(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(n, 8, 8) Bell operators of an (n, 3, 3, 4) batch of rows.
 
-    With ``real=True`` the operators are built in real arithmetic from the
-    real part of the Pauli entry table. That is exact, and the operators are
-    real symmetric, when every row has ``ry = 0``: sigma_y then has weight 0.
+    When no row has a y component, sigma_y has weight 0 and the operators
+    are real symmetric: they are built in real arithmetic and are float64.
+    Otherwise they are complex Hermitian.
     """
     opened = _open_party(tensor, rows, 0).reshape(-1, 3, 16)
     weights = (np.swapaxes(rows[:, 0], 1, 2) @ opened).reshape(-1, 4, 4, 4)
-    entries = _REAL_ENTRIES if real else _PAULI_ENTRIES
+    entries = _PAULI_ENTRIES if np.any(rows[..., 2]) else _REAL_ENTRIES
     pairs = _per_qubit(weights, entries).reshape((-1,) + (2,) * 6)
     return pairs.transpose(_FROM_PAIRS).reshape(-1, 8, 8)
 
 
-def correlations(states: np.ndarray, real: bool = False) -> np.ndarray:
+def correlations(states: np.ndarray) -> np.ndarray:
     """(n, 4, 4, 4) correlation tensors <psi|s_mu ⊗ s_nu ⊗ s_lam|psi> of (n, 8) states.
 
-    With ``real=True`` the states must be real and the tensors are computed
-    in real arithmetic: the entries over {I, X, Z}^3 are exact and every
-    entry with a y index is 0. That is all a response needs when the rows
-    it is contracted with have ``ry = 0``.
+    Real-dtype states are handled exactly in real arithmetic, through the
+    real table and a fixed factor per entry.
     """
     outer = (states.conj()[:, :, None] * states[:, None, :]).reshape((-1,) + (2,) * 6)
     pairs = outer.transpose(_TO_PAIRS).reshape(-1, 4, 4, 4)
-    entries = _REAL_ENTRIES if real else _PAULI_ENTRIES
-    return _per_qubit(pairs, entries.T).real
+    if np.iscomplexobj(states):
+        return _per_qubit(pairs, _PAULI_ENTRIES.T).real
+    return _per_qubit(pairs, _REAL_ENTRIES.T) * _REAL_FACTORS
 
 
 def slot_response(tensor: np.ndarray, rows: np.ndarray, corr: np.ndarray,
@@ -236,7 +238,8 @@ def slot_response(tensor: np.ndarray, rows: np.ndarray, corr: np.ndarray,
 
 
 def bell_operator(expr, observables) -> np.ndarray:
-    """8x8 Bell operator of an expression under six chosen observables."""
+    """8x8 Bell operator of an expression under six chosen observables;
+    float64, with the complex operator's values, when none has a y part."""
     tensor = expr.tensor().astype(float)
     return bell_operators(tensor, observable_rows(observables)[None])[0]
 
@@ -253,41 +256,6 @@ def expectation(state: PureState, matrix: np.ndarray) -> float:
     return value.real
 
 
-def _assert_hermitian(matrix: np.ndarray):
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if not np.allclose(matrix, matrix.conj().T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-
-def max_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a deterministic unit eigenvector.
-
-    When the top eigenvalue is degenerate, the returned vector is the
-    normalized projection of the lowest-index basis vector onto the top
-    eigenspace, which makes reruns reproducible. The vector's phase is
-    fixed so its largest-magnitude amplitude is real and positive.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("expected a square matrix")
-    _assert_hermitian(matrix)
-    eigenvalues, vectors = np.linalg.eigh(matrix)
-    top = float(eigenvalues[-1])
-    tol = 1e-12 * max(1.0, abs(top))
-    space = vectors[:, eigenvalues >= top - tol]
-    if space.shape[1] == 1:
-        vec = space[:, 0]
-    else:
-        row_norms = np.linalg.norm(space, axis=1)
-        j = int(np.argmax(row_norms > 1e-8))
-        vec = space @ space[j, :].conj()
-        vec = vec / np.linalg.norm(vec)
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    vec = vec * phase.conjugate()
-    return top, vec
-
-
 def reduced_density(state: PureState, keep) -> np.ndarray:
     """4x4 reduced density matrix on an unordered pair of parties.
 
@@ -298,13 +266,8 @@ def reduced_density(state: PureState, keep) -> np.ndarray:
     if len(labels) != 2:
         raise ValueError("keep must name two distinct parties")
     psi = state.amplitudes.reshape(2, 2, 2)
-    if labels == [0, 1]:
-        rho = np.einsum("abc,dec->abde", psi, psi.conj())
-    elif labels == [0, 2]:
-        rho = np.einsum("abc,dbf->acdf", psi, psi.conj())
-    else:
-        rho = np.einsum("abc,aef->bcef", psi, psi.conj())
-    return rho.reshape(4, 4)
+    traced = 3 - sum(labels)
+    return np.tensordot(psi, psi.conj(), axes=(traced, traced)).reshape(4, 4)
 
 
 def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:

@@ -31,14 +31,17 @@ eigenvectors real, and the optimal Bloch vectors stay in the x-z plane:
 past the starting value, a run is real arithmetic with the same values
 sweep by sweep. The solutions it returns are real states with x-z
 measurements, one representative of their class under local unitaries.
-Where the top eigenspace is degenerate (id 23, whose party C ends on the
-identity), the state a restart picks in it, and so its path, depends on
-rounding and may differ from an un-rotated run.
+
+The state step has one rule, in the batches and in :func:`best_state`:
+the top eigenvector from ``eigh``, its largest-magnitude amplitude made
+real and positive. In a degenerate top eigenspace (ids 11-14 and 23) that
+vector, and so a run's path, depends on rounding and may differ from an
+un-rotated run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +53,6 @@ from .qcore import (
     bell_operators,
     correlations,
     expectation,
-    max_eigenpair,
     observable_rows,
     slot_response,
 )
@@ -103,8 +105,8 @@ class Solution:
 
 def best_state(expr: BellExpression, observables) -> tuple[float, PureState]:
     """Optimal state for fixed measurements: top eigenpair of the operator."""
-    value, vector = max_eigenpair(bell_operator(expr, observables))
-    return float(value), PureState(vector)
+    values, states = _state_step(expr.tensor().astype(float), observable_rows(observables)[None])
+    return float(values[0]), PureState(states[0])
 
 
 def best_observable(expr: BellExpression, state: PureState, observables, slot: int):
@@ -134,8 +136,8 @@ def evaluate_solution(expr: BellExpression, solution: Solution) -> float:
 def seesaw_run(expr: BellExpression, seed: int, params: SeesawParams) -> Solution:
     """One seeded run; the returned solution carries its per-sweep value trace."""
     streams = [np.random.SeedSequence(seed)]
-    runs = _run_batch(expr.tensor().astype(float), streams, params, keep_trace=True)
-    return _solution_from_run(runs, restart_index=0, with_trace=True)
+    batch = _run_batch(expr.tensor().astype(float), streams, params, keep_trace=True)
+    return replace(_solution_from_run(batch, 0), value_trace=tuple(batch["traces"][0]))
 
 
 def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams()) -> Solution:
@@ -150,22 +152,21 @@ def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams())
         for i in range(params.restarts)
     ]
     tensor = expr.tensor().astype(float)
-    runs = _run_batch(tensor, streams, params, keep_trace=False)
-    values = np.array([run["value"] for run in runs])
+    batch = _run_batch(tensor, streams, params, keep_trace=False)
+    values = batch["values"]
     best = int(np.argmax(values >= values.max() - _VALUE_TIE_TOL * _scale(tensor)))
-    return _solution_from_run(runs, restart_index=best, with_trace=False)
+    return _solution_from_run(batch, best)
 
 
-def _solution_from_run(runs, restart_index: int, with_trace: bool) -> Solution:
-    run = runs[restart_index]
+def _solution_from_run(batch, i: int) -> Solution:
+    """Restart ``i`` of a batch; ``capped_restarts`` counts the whole batch."""
     return Solution(
-        state=PureState(run["state"]),
-        measurements=tuple(_decode_observable(row) for row in run["rows"]),
-        value=float(run["value"]),
-        sweeps_used=int(run["sweeps"]),
-        restart_index=restart_index,
-        value_trace=tuple(run["trace"]) if with_trace else None,
-        capped_restarts=sum(not other["converged"] for other in runs),
+        state=PureState(batch["states"][i]),
+        measurements=tuple(_decode_observable(row) for row in batch["rows"][i]),
+        value=float(batch["values"][i]),
+        sweeps_used=int(batch["sweeps"][i]),
+        restart_index=i,
+        capped_restarts=int(np.count_nonzero(~batch["converged"])),
     )
 
 
@@ -233,11 +234,13 @@ def _real_gauge(rows):
     rows[:, :, 2, 3] = sine
 
 
-def _sign_fix(states: np.ndarray) -> np.ndarray:
-    """Real states with their largest-magnitude amplitude made positive."""
-    lead = np.argmax(np.abs(states), axis=1)
-    signs = np.sign(states[np.arange(states.shape[0]), lead])
-    return states * signs[:, None]
+def _state_step(tensor, rows):
+    """Top eigenvalues and eigenvectors of a batch's Bell operators, each
+    vector's largest-magnitude amplitude made real and positive."""
+    eigvals, eigvecs = np.linalg.eigh(bell_operators(tensor, rows))
+    states = eigvecs[:, :, -1]
+    lead = states[np.arange(len(states)), np.argmax(np.abs(states), axis=1)]
+    return eigvals[:, -1], states * (np.abs(lead) / lead)[:, None]
 
 
 def _run_batch(tensor, streams, params, keep_trace):
@@ -275,15 +278,13 @@ def _run_batch(tensor, streams, params, keep_trace):
         start_values = values[idx].copy()
         sub_rows = rows[idx]
 
-        # State step: top eigenpair of the real Bell operator per live restart.
-        eigvals, eigvecs = np.linalg.eigh(bell_operators(tensor, sub_rows, real=True))
-        new_values = eigvals[:, -1]
+        # State step: the rows are x-z, so the operators and states are real.
+        new_values, sub_psi = _state_step(tensor, sub_rows)
         if np.any(new_values < values[idx] - slack):
             raise RuntimeError("seesaw state step decreased the value")
         values[idx] = new_values
-        sub_psi = _sign_fix(eigvecs[:, :, -1])
         psi[idx] = sub_psi
-        corr = correlations(sub_psi, real=True)
+        corr = correlations(sub_psi)
 
         # Observable steps, both settings of a party at once.
         for party in range(3):
@@ -297,21 +298,15 @@ def _run_batch(tensor, streams, params, keep_trace):
         if keep_trace:
             for run in idx:
                 traces[run].append(float(values[run]))
-        improvement = values[idx] - start_values
-        done = improvement < params.convergence_tol
-        if np.any(done):
-            rows_done = idx[done]
-            converged[rows_done] = True
-            sweeps_used[rows_done] = sweep
+        done = idx[values[idx] - start_values < params.convergence_tol]
+        converged[done] = True
+        sweeps_used[done] = sweep
 
-    return [
-        {
-            "state": psi[i].copy(),
-            "rows": rows[i, :, 1:].reshape(6, 4).copy(),
-            "value": float(values[i]),
-            "sweeps": int(sweeps_used[i]),
-            "converged": bool(converged[i]),
-            "trace": traces[i] if keep_trace else None,
-        }
-        for i in range(n)
-    ]
+    return {
+        "states": psi,
+        "rows": rows[:, :, 1:].reshape(n, 6, 4),
+        "values": values,
+        "sweeps": sweeps_used,
+        "converged": converged,
+        "traces": traces,
+    }

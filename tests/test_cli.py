@@ -122,6 +122,33 @@ def test_classify_rejects_bad_solution_documents(capsys, tmp_path):
     assert code == 1 and "schema" in err
     code, _, err = run(capsys, "classify", "3", "--solution", str(tmp_path / "gone"))
     assert code == 1
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, "classify", "3", "--solution", str(path))
+    assert code == 1 and "not a JSON object" in err
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda doc: doc.pop("state"), id="no-state"),
+    pytest.param(lambda doc: doc["state"].update(re=[0.5] * 7, im=[0.0] * 7),
+                 id="seven-amplitudes"),
+    pytest.param(lambda doc: doc["measurements"][0].update(vector=[0.0, 0.0, 0.0]),
+                 id="zero-bloch-vector"),
+    pytest.param(lambda doc: doc["state"]["re"].__setitem__(0, float("nan")),
+                 id="nan-amplitude"),
+    pytest.param(lambda doc: doc["measurements"][0].update(vector=[float("nan"), 0.0, 1.0]),
+                 id="nan-bloch-vector"),
+])
+def test_classify_rejects_malformed_solution_documents(capsys, tmp_path, damage):
+    solution = Solution(state=PureState(np.eye(8)[0]),
+                        measurements=(Observable.from_bloch(0.0, 0.0, 1.0),) * 6,
+                        value=0.0, sweeps_used=0, restart_index=0)
+    doc = cli._solution_doc(3, solution, None)
+    damage(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "classify", "3", "--solution", str(path))
+    assert code == 1
+    assert err.startswith("error: malformed solution document")
 
 
 def test_npa_text_and_json(capsys):

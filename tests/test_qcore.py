@@ -13,7 +13,6 @@ from tribell.qcore import (
     bell_operators,
     correlations,
     expectation,
-    max_eigenpair,
     observable_matrix,
     observable_rows,
     partial_transpose,
@@ -151,17 +150,6 @@ def test_expectation_is_real_for_hermitian_operators():
     assert abs(value - direct.real) < 1e-10
 
 
-def test_max_eigenpair_against_numpy():
-    for _ in range(10):
-        matrix = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        matrix = matrix + matrix.conj().T
-        value, vector = max_eigenpair(matrix)
-        eigvals = np.linalg.eigvalsh(matrix)
-        assert abs(value - eigvals[-1]) < 1e-10
-        assert abs(np.linalg.norm(vector) - 1) < 1e-12
-        assert abs(expectation(PureState.from_vector(vector, normalize=True), matrix) - value) < 1e-9
-
-
 def test_reduced_density_traces_and_known_states():
     ghz = PureState.from_vector(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
     for keep in ("AB", "AC", "BC"):
@@ -274,48 +262,43 @@ def test_batched_kernel_matches_single_calls():
             assert abs(np.sum(rows[n, party] * batched) - value) < 1e-12
 
 
-def _xz_rows(gen, n: int) -> np.ndarray:
-    """(n, 3, 3, 4) rows with ry = 0: x-z Bloch rows, or ±identity one time in three."""
-    def xz_slot():
-        obs = _random_slot(gen)
-        if obs.is_identity:
-            return obs
-        x, _, z = obs.vector
-        return Observable.from_bloch(x, 0.0, z, normalize=True)
-    return np.array([observable_rows([xz_slot() for _ in range(6)]) for _ in range(n)])
+def _xz_slot(gen) -> Observable:
+    """Like _random_slot, with the Bloch vector in the x-z plane."""
+    obs = _random_slot(gen)
+    if obs.is_identity:
+        return obs
+    x, _, z = obs.vector
+    return Observable.from_bloch(x, 0.0, z, normalize=True)
 
 
-def test_real_entry_operators_equal_the_complex_kernel_for_xz_rows():
+def test_bell_operators_of_xz_rows_are_real():
     gen = np.random.default_rng(33)
     expr = parse_expression("2 A - a + BC - 3 ABC + abc - Ab + 4 aBc + bC - c")
     tensor = expr.tensor().astype(float)
-    rows = _xz_rows(gen, 25)
-    assert np.all(rows[..., 2] == 0.0)
-    complex_ops = bell_operators(tensor, rows)
-    real_ops = bell_operators(tensor, rows, real=True)
-    assert real_ops.dtype == float
-    assert np.all(complex_ops.imag == 0.0)
-    assert np.array_equal(real_ops, complex_ops.real)
-    assert np.array_equal(real_ops, np.swapaxes(real_ops, 1, 2))
+    batch = [tuple(_xz_slot(gen) for _ in range(6)) for _ in range(25)]
+    rows = np.array([observable_rows(observables) for observables in batch])
+    operators = bell_operators(tensor, rows)
+    assert operators.dtype == np.float64
+    assert np.array_equal(operators, np.swapaxes(operators, 1, 2))
+    for observables, operator in zip(batch, operators):
+        assert np.max(np.abs(operator - _kron_reference(expr, observables))) < 1e-12
+    # One row with a y component makes the whole batch complex; the other
+    # operators are unchanged.
+    rows[3, 1, 2] = (0.0, *random_bloch(gen))
+    mixed = bell_operators(tensor, rows)
+    assert mixed.dtype == complex
+    others = np.arange(25) != 3
+    assert np.array_equal(mixed[others].real, operators[others])
+    assert np.all(mixed[others].imag == 0.0)
 
 
-def test_real_correlations_match_on_xz_entries_of_real_states():
+def test_correlations_of_real_states_are_real_and_exact():
     gen = np.random.default_rng(34)
     states = gen.normal(size=(12, 8))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
+    real_corr = correlations(states)
     complex_corr = correlations(states.astype(complex))
-    real_corr = correlations(states, real=True)
-    xz = np.ix_(range(12), (0, 1, 3), (0, 1, 3), (0, 1, 3))
-    assert np.max(np.abs(real_corr[xz] - complex_corr[xz])) < 1e-14
-    # Every entry with a y index is 0; the complex ones with two y indices are not.
-    with_y = np.ones((4, 4, 4), dtype=bool)
-    with_y[np.ix_((0, 1, 3), (0, 1, 3), (0, 1, 3))] = False
-    assert np.all(real_corr[:, with_y] == 0.0)
+    assert real_corr.dtype == np.float64
+    assert np.array_equal(real_corr, complex_corr)
+    # The entries with two y indices are not zero.
     assert np.max(np.abs(complex_corr[:, 2, 2, 0])) > 1e-3
-    # Against rows with ry = 0 the responses agree.
-    tensor = parse_expression("ABC + abC + aBc - Abc + 2 aB - c").tensor().astype(float)
-    rows = _xz_rows(gen, 12)
-    for party in range(3):
-        assert np.allclose(slot_response(tensor, rows, real_corr, party),
-                           slot_response(tensor, rows, complex_corr, party),
-                           rtol=0.0, atol=1e-13)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tribell.bell_expr import catalog_entry, parse_expression
-from tribell.qcore import Observable, PureState, bell_operator, expectation
+from tribell.qcore import Observable, PureState, bell_operator, expectation, observable_rows
 from tribell.seesaw import (
     SeesawParams,
     Solution,
+    _state_step,
     best_observable,
     best_state,
     evaluate_solution,
@@ -47,6 +48,18 @@ def test_best_state_is_optimal_for_fixed_observables():
         other = PureState.from_vector(
             gen.normal(size=8) + 1j * gen.normal(size=8), normalize=True)
         assert expectation(other, operator) <= value + 1e-10
+
+
+def test_best_state_of_xz_observables_is_the_state_step():
+    gen = np.random.default_rng(4)
+    expr = catalog_entry(7).expression
+    observables = tuple(Observable.from_bloch(x, 0.0, z, normalize=True)
+                        for x, _, z in gen.normal(size=(6, 3)))
+    value, state = best_state(expr, observables)
+    values, states = _state_step(expr.tensor().astype(float), observable_rows(observables)[None])
+    assert states.dtype == np.float64
+    assert value == values[0]
+    assert np.array_equal(state.amplitudes, states[0])
 
 
 def test_best_observable_does_not_decrease_value():
