@@ -118,8 +118,8 @@ class PureState:
         vec = np.asarray(vector, dtype=complex).reshape(-1)
         if normalize:
             norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
+            if norm == 0.0 or not np.isfinite(norm):
+                raise ValueError(f"cannot normalize a vector of norm {norm}")
             vec = vec / norm
         return cls(vec)
 
@@ -150,6 +150,9 @@ _REAL_FACTORS = np.array([1.0, 0.0, -1.0, 0.0])[(np.indices((4, 4, 4)) == 2).sum
 # e, f) to the per-qubit entry pairs (a, d, b, e, c, f), and back.
 _TO_PAIRS = (0, 1, 4, 2, 5, 3, 6)
 _FROM_PAIRS = (0, 1, 3, 5, 2, 4, 6)
+# Axis orders that bring a party first in a tensor and in a batch of them.
+_PARTY_FIRST = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+_BATCH_PARTY_FIRST = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
 def _per_qubit(batch: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -162,7 +165,7 @@ def _per_qubit(batch: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     1024.
     """
     for _ in range(3):
-        batch = (np.moveaxis(batch, 1, -1).reshape(-1, 4) @ matrix).reshape(-1, 4, 4, 4)
+        batch = (batch.transpose(0, 2, 3, 1).reshape(-1, 4) @ matrix).reshape(-1, 4, 4, 4)
     return batch
 
 
@@ -189,10 +192,10 @@ def _open_party(tensor: np.ndarray, rows: np.ndarray, party: int) -> np.ndarray:
     (n, 3, 4, 4): the free party's slot index, then the Pauli indices of
     the other two parties in party order.
     """
-    first, second = (other for other in range(3) if other != party)
-    free_first = np.moveaxis(tensor, party, 0).reshape(9, 3)
+    _, first, second = _PARTY_FIRST[party]
+    free_first = tensor.transpose(_PARTY_FIRST[party]).reshape(9, 3)
     half = (free_first @ rows[:, second]).reshape(-1, 3, 3, 4)
-    return np.swapaxes(rows[:, first], 1, 2)[:, None] @ half
+    return rows[:, first].swapaxes(1, 2)[:, None] @ half
 
 
 def bell_operators(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -203,7 +206,7 @@ def bell_operators(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Otherwise they are complex Hermitian.
     """
     opened = _open_party(tensor, rows, 0).reshape(-1, 3, 16)
-    weights = (np.swapaxes(rows[:, 0], 1, 2) @ opened).reshape(-1, 4, 4, 4)
+    weights = (rows[:, 0].swapaxes(1, 2) @ opened).reshape(-1, 4, 4, 4)
     entries = _PAULI_ENTRIES if np.any(rows[..., 2]) else _REAL_ENTRIES
     pairs = _per_qubit(weights, entries).reshape((-1,) + (2,) * 6)
     return pairs.transpose(_FROM_PAIRS).reshape(-1, 8, 8)
@@ -233,8 +236,8 @@ def slot_response(tensor: np.ndarray, rows: np.ndarray, corr: np.ndarray,
     on the party's own rows.
     """
     opened = _open_party(tensor, rows, party).reshape(-1, 3, 16)
-    moved = np.moveaxis(corr, party + 1, 1).reshape(-1, 4, 16)
-    return opened @ np.swapaxes(moved, 1, 2)
+    moved = corr.transpose(_BATCH_PARTY_FIRST[party]).reshape(-1, 4, 16)
+    return opened @ moved.swapaxes(1, 2)
 
 
 def bell_operator(expr, observables) -> np.ndarray:

@@ -10,10 +10,13 @@ the objective up to floating-point noise.
 
 Restarts are independent: restart ``i`` draws its initial state and Bloch
 vectors from a stream derived from ``(master_seed, i)``, so results do
-not depend on execution order. Internally all live restarts advance in
-lock step through vectorized sweeps; a restart whose sweep improvement
-drops below the tolerance is frozen, which keeps the batch equivalent to
-running each restart alone.
+not depend on execution order. The draws do not depend on the expression:
+each set of streams is drawn once, in the same order, and shared. The live
+restarts advance in lock step through vectorized sweeps, contiguous and in
+restart order; a restart whose sweep improvement drops below the tolerance
+leaves the batch, which keeps it equivalent to running each restart alone.
+Past numpy's per-call overhead, a sweep's cost is mostly the 8x8 ``eigh``
+of each live restart, which no change that keeps the results can cut.
 
 Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
 measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the
@@ -41,6 +44,7 @@ un-rotated run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,8 +139,7 @@ def evaluate_solution(expr: BellExpression, solution: Solution) -> float:
 
 def seesaw_run(expr: BellExpression, seed: int, params: SeesawParams) -> Solution:
     """One seeded run; the returned solution carries its per-sweep value trace."""
-    streams = [np.random.SeedSequence(seed)]
-    batch = _run_batch(expr.tensor().astype(float), streams, params, keep_trace=True)
+    batch = _run_batch(expr.tensor().astype(float), _draws(seed, ((),)), params, keep_trace=True)
     return replace(_solution_from_run(batch, 0), value_trace=tuple(batch["traces"][0]))
 
 
@@ -147,12 +150,9 @@ def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams())
     Values within rounding of the best tie, so the winner does not depend
     on the last bits of the arithmetic.
     """
-    streams = [
-        np.random.SeedSequence(entropy=params.master_seed, spawn_key=(i,))
-        for i in range(params.restarts)
-    ]
+    keys = tuple((i,) for i in range(params.restarts))
     tensor = expr.tensor().astype(float)
-    batch = _run_batch(tensor, streams, params, keep_trace=False)
+    batch = _run_batch(tensor, _draws(params.master_seed, keys), params, keep_trace=False)
     values = batch["values"]
     best = int(np.argmax(values >= values.max() - _VALUE_TIE_TOL * _scale(tensor)))
     return _solution_from_run(batch, best)
@@ -197,23 +197,19 @@ def _update_settings(party_rows, response, settings=slice(1, 3)):
     slots = response[:, settings]
     total = np.einsum("nim,nim->n", party_rows, response)
     own = np.einsum("nsm,nsm->ns", rows, slots)
-    plus = slots[:, :, 0]
-    minus = -plus
-    gradient = slots[:, :, 1:]
-    gnorm = np.linalg.norm(gradient, axis=2)
+    plus, gradient = slots[:, :, 0], slots[:, :, 1:]
+    gnorm = np.sqrt((gradient * gradient).sum(axis=2))
     usable = gnorm >= 1e-14
     keeps = ~usable & (rows[:, :, 0] == 0.0)
     bloch_value = np.where(usable, gnorm, np.where(keeps, own, -np.inf))
-    take_bloch = bloch_value >= np.maximum(plus, minus) - _TIE_TOL
-    take_plus = ~take_bloch & (plus >= minus - _TIE_TOL)
+    take_bloch = bloch_value >= np.abs(plus) - _TIE_TOL
+    take_plus = ~take_bloch & (plus >= -plus - _TIE_TOL)
 
-    update_bloch = take_bloch & usable
-    rows[update_bloch, 0] = 0.0
-    rows[update_bloch, 1:] = gradient[update_bloch] / gnorm[update_bloch, None]
-    identity = ~take_bloch
-    rows[identity] = 0.0
-    rows[identity, 0] = np.where(take_plus[identity], 1.0, -1.0)
-    slot_values = np.where(take_bloch, bloch_value, np.where(take_plus, plus, minus))
+    new = np.zeros_like(rows)
+    new[:, :, 0] = np.where(take_bloch, 0.0, np.where(take_plus, 1.0, -1.0))
+    np.divide(gradient, gnorm[:, :, None], out=new[:, :, 1:], where=(take_bloch & usable)[:, :, None])
+    rows[...] = np.where((take_bloch & ~usable)[:, :, None], rows, new)
+    slot_values = np.where(take_bloch, bloch_value, np.where(take_plus, plus, -plus))
     return total + (slot_values - own).sum(axis=1)
 
 
@@ -234,6 +230,31 @@ def _real_gauge(rows):
     rows[:, :, 2, 3] = sine
 
 
+@functools.lru_cache(maxsize=4)
+def _draws(entropy, spawn_keys):
+    """Starting states, drawn rows and their real-gauge rotation for the
+    streams ``SeedSequence(entropy, spawn_key=key)``: read-only and shared
+    by every expression, which the draws do not depend on."""
+    n = len(spawn_keys)
+    start = np.empty((n, 8), dtype=complex)
+    # Per restart and party: Pauli rows [identity, first, second setting].
+    rows = np.zeros((n, 3, 3, 4))
+    rows[:, :, 0, 0] = 1.0
+    for i, key in enumerate(spawn_keys):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+        # Draw order is part of the reproducibility contract: 8 real then
+        # 8 imaginary state components, then the six Bloch vectors.
+        amp = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        start[i] = amp / np.linalg.norm(amp)
+        raw = rng.standard_normal((6, 3))
+        rows[i, :, 1:, 1:] = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(3, 2, 3)
+    gauged = rows.copy()
+    _real_gauge(gauged)
+    for array in (start, rows, gauged):
+        array.flags.writeable = False
+    return start, rows, gauged
+
+
 def _state_step(tensor, rows):
     """Top eigenvalues and eigenvectors of a batch's Bell operators, each
     vector's largest-magnitude amplitude made real and positive."""
@@ -243,70 +264,46 @@ def _state_step(tensor, rows):
     return eigvals[:, -1], states * (np.abs(lead) / lead)[:, None]
 
 
-def _run_batch(tensor, streams, params, keep_trace):
-    n = len(streams)
-    start = np.empty((n, 8), dtype=complex)
-    # Per restart and party: Pauli rows [identity, first, second setting].
-    rows = np.zeros((n, 3, 3, 4))
-    rows[:, :, 0, 0] = 1.0
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        # Draw order is part of the reproducibility contract: 8 real then
-        # 8 imaginary state components, then the six Bloch vectors.
-        re = rng.standard_normal(8)
-        im = rng.standard_normal(8)
-        amp = re + 1j * im
-        start[i] = amp / np.linalg.norm(amp)
-        raw = rng.standard_normal((6, 3))
-        rows[i, :, 1:, 1:] = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(3, 2, 3)
-
-    # The drawn state only sets the starting value; the first state step
-    # replaces it.
-    values = np.einsum("na,nab,nb->n", start.conj(), bell_operators(tensor, rows), start).real
-    _real_gauge(rows)
-    psi = np.empty((n, 8))
-
-    converged = np.zeros(n, dtype=bool)
+def _run_batch(tensor, draws, params, keep_trace):
+    start, drawn, gauged = draws
+    n = len(start)
+    # The drawn state sets only the starting value; the state step replaces it.
+    values = np.einsum("na,nab,nb->n", start.conj(), bell_operators(tensor, drawn), start).real
+    rows = gauged.copy()
+    states, converged = np.empty((n, 8)), np.ones(n, dtype=bool)
     sweeps_used = np.full(n, params.max_sweeps, dtype=int)
     traces = [[] for _ in range(n)] if keep_trace else None
 
+    # The live restarts stay contiguous and in restart order: each kernel call
+    # sees exactly the unconverged restarts. One is written back once it stops.
+    live, live_rows, live_values = np.arange(n), rows, values
     slack = _MONOTONE_SLACK * _scale(tensor)
     for sweep in range(1, params.max_sweeps + 1):
-        idx = np.flatnonzero(~converged)
-        if idx.size == 0:
-            break
-        start_values = values[idx].copy()
-        sub_rows = rows[idx]
-
+        before = live_values
         # State step: the rows are x-z, so the operators and states are real.
-        new_values, sub_psi = _state_step(tensor, sub_rows)
-        if np.any(new_values < values[idx] - slack):
+        live_values, psi = _state_step(tensor, live_rows)
+        if (live_values < before - slack).any():
             raise RuntimeError("seesaw state step decreased the value")
-        values[idx] = new_values
-        psi[idx] = sub_psi
-        corr = correlations(sub_psi)
+        corr = correlations(psi)
 
         # Observable steps, both settings of a party at once.
         for party in range(3):
-            response = slot_response(tensor, sub_rows, corr, party)
-            new_values = _update_settings(sub_rows[:, party], response)
-            if np.any(new_values < values[idx] - slack):
+            response = slot_response(tensor, live_rows, corr, party)
+            previous, live_values = live_values, _update_settings(live_rows[:, party], response)
+            if (live_values < previous - slack).any():
                 raise RuntimeError("seesaw observable step decreased the value")
-            values[idx] = new_values
-        rows[idx] = sub_rows
 
         if keep_trace:
-            for run in idx:
-                traces[run].append(float(values[run]))
-        done = idx[values[idx] - start_values < params.convergence_tol]
-        converged[done] = True
-        sweeps_used[done] = sweep
-
-    return {
-        "states": psi,
-        "rows": rows[:, :, 1:].reshape(n, 6, 4),
-        "values": values,
-        "sweeps": sweeps_used,
-        "converged": converged,
-        "traces": traces,
-    }
+            for run, value in zip(live, live_values.tolist()):
+                traces[run].append(value)
+        done = live_values - before < params.convergence_tol
+        if done.any():
+            finished = live[done]
+            rows[finished], values[finished], states[finished] = live_rows[done], live_values[done], psi[done]
+            sweeps_used[finished] = sweep
+            live, live_rows, live_values, psi = (a[~done] for a in (live, live_rows, live_values, psi))
+            if not live.size:
+                break
+    rows[live], values[live], states[live], converged[live] = live_rows, live_values, psi, False
+    return {"states": states, "rows": rows[:, :, 1:].reshape(n, 6, 4), "values": values,
+            "sweeps": sweeps_used, "converged": converged, "traces": traces}

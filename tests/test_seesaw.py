@@ -6,8 +6,12 @@ import pytest
 from tribell.bell_expr import catalog_entry, parse_expression
 from tribell.qcore import Observable, PureState, bell_operator, expectation, observable_rows
 from tribell.seesaw import (
+    _VALUE_TIE_TOL,
     SeesawParams,
     Solution,
+    _draws,
+    _run_batch,
+    _scale,
     _state_step,
     best_observable,
     best_state,
@@ -109,6 +113,41 @@ def test_quantum_maximum_reproducible_bit_for_bit():
         assert obs_a.is_identity == obs_b.is_identity
         if not obs_a.is_identity:
             assert np.array_equal(np.asarray(obs_a.vector), np.asarray(obs_b.vector))
+
+
+def _fingerprint(solution: Solution):
+    return (solution.value, solution.restart_index, solution.sweeps_used,
+            solution.capped_restarts, solution.state.amplitudes.tobytes(), solution.measurements)
+
+
+def test_draw_cache_does_not_leak_between_calls():
+    """The draws are shared by every expression; a run must leave them as it
+    found them, and they cannot be written to."""
+    a, b = catalog_entry(5).expression, catalog_entry(26).expression
+    first = quantum_maximum(a, QUICK)
+    quantum_maximum(b, QUICK)
+    assert _fingerprint(quantum_maximum(a, QUICK)) == _fingerprint(first)
+    quantum_maximum(b, SeesawParams(restarts=12, master_seed=4))
+    assert _fingerprint(quantum_maximum(a, QUICK)) == _fingerprint(first)
+    for array in _draws(QUICK.master_seed, ((0,),)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_restart_alone_equals_restart_in_batch():
+    """Restarts that converge leave the live batch; the others must still
+    follow the path their stream takes in a batch of one."""
+    params = SeesawParams(restarts=40, master_seed=0)
+    keys = tuple((i,) for i in range(params.restarts))
+    for ident in (2, 5, 17, 26, 41):
+        tensor = catalog_entry(ident).expression.tensor().astype(float)
+        batch = _run_batch(tensor, _draws(params.master_seed, keys), params, keep_trace=False)
+        for i in (0, 7, 39):
+            alone = _run_batch(tensor, _draws(params.master_seed, (keys[i],)), params,
+                               keep_trace=False)
+            assert alone["sweeps"][0] == batch["sweeps"][i]
+            assert alone["converged"][0] == batch["converged"][i]
+            assert abs(alone["values"][0] - batch["values"][i]) <= _VALUE_TIE_TOL * _scale(tensor)
 
 
 def test_different_seeds_explore_different_starts():
