@@ -28,7 +28,6 @@ from .fixtures import (
     AQ_ANOMALY_IDS,
     AQ_TOL,
     FIXTURE_TOL,
-    INCOMPATIBILITY_CLASS_TOL,
     PROFILE_TOL,
     VALUE_TOL,
     FixtureIntegrityError,
@@ -126,6 +125,8 @@ def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams | 
         "sweeps_used": solution.sweeps_used,
         "restart_index": solution.restart_index,
         "capped_restarts": solution.capped_restarts,
+        "hits": solution.hits,
+        "median_sweeps": solution.median_sweeps,
     }
     if params is not None:
         doc["parameters"] = {
@@ -269,6 +270,8 @@ def _cmd_npa(args) -> int:
 
 def _cmd_classify(args) -> int:
     ident = _parse_ident(args.id)
+    if args.tol is not None and not args.tol > 0.0:
+        raise UsageError(f"--tol must be positive, got {args.tol}")
     if args.solution:
         try:
             with open(args.solution, "r", encoding="utf-8") as handle:
@@ -290,8 +293,7 @@ def _cmd_classify(args) -> int:
         if args.tol is not None:
             ent_tol = inc_tol = args.tol
         else:
-            ent_tol = record.entanglement_tol or DEFAULT_CLASS_TOL
-            inc_tol = record.incompatibility_tol or INCOMPATIBILITY_CLASS_TOL
+            ent_tol, inc_tol = record.entanglement_tol, record.incompatibility_tol
     classes = _classes_for(solution, ent_tol, inc_tol)
     if args.json:
         print(json.dumps({"schema": CLASSES_SCHEMA, "id": ident, **classes}, indent=2))
@@ -317,14 +319,13 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
 
     solution = quantum_maximum(entry.expression, seesaw_params)
     row["seesaw_value"] = _check(solution.value, record.maximum, VALUE_TOL[record.kind])
-    row["seesaw_value"]["capped_restarts"] = solution.capped_restarts
+    row["seesaw_value"].update(capped_restarts=solution.capped_restarts, hits=solution.hits,
+                               median_sweeps=solution.median_sweeps)
 
     fixture = fixture_solution(ident)
     row["fixture_value"] = _check(fixture.value, record.maximum, FIXTURE_TOL[record.kind])
 
-    ent_tol = record.entanglement_tol or DEFAULT_CLASS_TOL
-    inc_tol = record.incompatibility_tol or INCOMPATIBILITY_CLASS_TOL
-    classes = _classes_for(fixture, ent_tol, inc_tol)
+    classes = _classes_for(fixture, record.entanglement_tol, record.incompatibility_tol)
     expected = record.profile
     row["profile"] = {
         "negativity": _check(classes["negativity"], expected.negativity, PROFILE_TOL),
@@ -342,8 +343,8 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
         "value": list(got_pair),
         "expected_row": [expected.entanglement_class, expected.incompatibility_class],
         "expected_pair": list(record.class_pair),
-        "entanglement_tol": ent_tol,
-        "incompatibility_tol": inc_tol,
+        "entanglement_tol": record.entanglement_tol,
+        "incompatibility_tol": record.incompatibility_tol,
         "status": "match"
         if got_pair == (expected.entanglement_class, expected.incompatibility_class)
         and got_pair == record.class_pair
@@ -396,6 +397,14 @@ def _cmd_tables(args) -> int:
     seesaw_params = _params(SeesawParams, restarts=args.restarts, master_seed=args.seed)
     npa_levels = [_LEVEL_TOKENS[token] for token in args.npa or []]
     npa_params = _params(SdpParams, tolerance=args.tol, max_iterations=args.max_iterations)
+    # An unwritable report path fails here, not after the rows have run.
+    # Appending creates a missing file and keeps an existing one.
+    for path in filter(None, (args.out, args.csv)):
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as err:
+            raise UsageError(f"cannot write {path}: {err.strerror}")
     started = time.perf_counter()
     # A damaged embedded table fails the whole command here, not every row.
     load_catalog()
@@ -448,12 +457,14 @@ def _cmd_tables(args) -> int:
             if status not in ("match", "computed", "skipped")
         ]
         state = "ok" if not bad else ",".join(sorted(set(bad)))
+        npa_bounds = row["npa_bounds"] if npa_levels else {}
         print(
             f"id {row['id']:2d}  local {row['local_bound']['value']:3d}"
             f"  seesaw {row['seesaw_value']['value']:12.7f}"
             f"  fixture {row['fixture_value']['value']:12.7f}"
             f"  classes ({row['classes']['value'][0]:2d},{row['classes']['value'][1]:2d})"
-            f"  {state}"
+            + "".join(f"  {level} {_npa_text(cell):>10}" for level, cell in npa_bounds.items())
+            + f"  {state}"
         )
     summary = report["summary"]
     print(
@@ -468,6 +479,14 @@ def _cmd_tables(args) -> int:
     if mismatches:
         return EXIT_MISMATCH
     return EXIT_OK
+
+
+def _npa_text(cell: dict) -> str:
+    if cell["status"] == "skipped":
+        return "-"
+    if cell["status"] == "no-convergence":
+        return "cap"
+    return f"{cell['bound']:.7f}"
 
 
 def _write_csv(path: str, ordered) -> None:

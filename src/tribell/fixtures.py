@@ -21,6 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .bell_expr import catalog_entry
+from .monotones import DEFAULT_CLASS_TOL
 from .qcore import (
     _PARTY_INDEX,
     MINUS_IDENTITY,
@@ -153,8 +154,9 @@ class FixtureRecord:
     measurement_texts: tuple[str, ...]
     profile: ExpectedProfile
     class_pair: tuple[int, int]
-    entanglement_tol: float | None = None
-    incompatibility_tol: float | None = None
+    # Class tolerances: the row's own where it sets one, else the defaults.
+    entanglement_tol: float
+    incompatibility_tol: float
 
     @property
     def is_exact(self) -> bool:
@@ -303,7 +305,8 @@ def _parse_row(line: str) -> FixtureRecord:
     pair = tuple(int(piece) for piece in fields[12].split(","))
     if len(pair) != 2:
         raise FixtureIntegrityError(f"row {ident}: bad class pair")
-    options: dict[str, float] = {}
+    options = {"entanglement_tol": DEFAULT_CLASS_TOL,
+               "incompatibility_tol": INCOMPATIBILITY_CLASS_TOL}
     if fields[13]:
         for piece in fields[13].split(","):
             key, _, value = piece.partition("=")

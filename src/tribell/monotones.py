@@ -144,7 +144,7 @@ def classify_entanglement(
     Raises ValueError when no pattern matches within tol, which signals
     either an invalid monotone combination or a too-tight tolerance.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     c = sorted((c_ab, c_ac, c_bc), reverse=True)
     nonzero = [x for x in c if x > tol]
@@ -217,7 +217,7 @@ def classify_incompatibility(meas, tol: float = DEFAULT_CLASS_TOL) -> Incompatib
     meas = tuple(meas)
     if len(meas) != 6:
         raise ValueError("expected six observables")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     i_a = incompatibility(meas[0], meas[1])
     i_b = incompatibility(meas[2], meas[3])

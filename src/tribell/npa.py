@@ -115,19 +115,22 @@ class MomentProblem:
         return len(self.words)
 
 
+# ADMM over-relaxation factor, in (0, 2), and the starting penalty rho,
+# which the iteration then adapts every ``adapt_interval`` iterations.
+_OVER_RELAXATION = 1.5
+_INITIAL_PENALTY = 1.0
+
+
 @dataclass(frozen=True)
 class SdpParams:
     max_iterations: int = 200000
     tolerance: float = 1e-8
-    over_relaxation: float = 1.5
-    penalty: float = 1.0
     adapt_interval: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.over_relaxation < 2.0:
-            raise ValueError("over_relaxation must lie in (0, 2)")
-        if self.tolerance <= 0.0 or self.penalty <= 0.0:
-            raise ValueError("tolerance and penalty must be positive")
+        # Written so that NaN fails too.
+        if not self.tolerance > 0.0:
+            raise ValueError("tolerance must be positive")
         if self.max_iterations < 1 or self.adapt_interval < 1:
             raise ValueError("max_iterations and adapt_interval must be positive")
 
@@ -217,8 +220,8 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
             return np.zeros_like(m)
         return (vecs[:, pos] * vals[pos]) @ vecs[:, pos].T
 
-    rho = params.penalty
-    alpha = params.over_relaxation
+    rho = _INITIAL_PENALTY
+    alpha = _OVER_RELAXATION
     z = project_affine(np.zeros((n, n)))
     u = np.zeros((n, n))
     primal = dual = np.inf

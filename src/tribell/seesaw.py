@@ -91,7 +91,8 @@ class SeesawParams:
     def __post_init__(self):
         if self.restarts < 1 or self.max_sweeps < 1:
             raise ValueError("restarts and max_sweeps must be positive")
-        if self.convergence_tol <= 0.0:
+        # Written so that NaN fails too.
+        if not self.convergence_tol > 0.0:
             raise ValueError("convergence_tol must be positive")
 
 
@@ -103,8 +104,12 @@ class Solution:
     sweeps_used: int
     restart_index: int
     value_trace: tuple[float, ...] | None = None
-    # Restarts that stopped at max_sweeps without converging.
+    # Batch-wide restart statistics: restarts that stopped at max_sweeps
+    # without converging, restarts within the monotonicity slack of the best
+    # value, and the median number of sweeps per restart.
     capped_restarts: int = 0
+    hits: int = 0
+    median_sweeps: float = 0.0
 
 
 def best_state(expr: BellExpression, observables) -> tuple[float, PureState]:
@@ -159,14 +164,17 @@ def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams())
 
 
 def _solution_from_run(batch, i: int) -> Solution:
-    """Restart ``i`` of a batch; ``capped_restarts`` counts the whole batch."""
+    """Restart ``i`` of a batch, with the statistics of the whole batch."""
+    values = batch["values"]
     return Solution(
         state=PureState(batch["states"][i]),
         measurements=tuple(_decode_observable(row) for row in batch["rows"][i]),
-        value=float(batch["values"][i]),
+        value=float(values[i]),
         sweeps_used=int(batch["sweeps"][i]),
         restart_index=i,
         capped_restarts=int(np.count_nonzero(~batch["converged"])),
+        hits=int(np.count_nonzero(values >= values.max() - batch["slack"])),
+        median_sweeps=float(np.median(batch["sweeps"])),
     )
 
 
@@ -306,4 +314,4 @@ def _run_batch(tensor, draws, params, keep_trace):
                 break
     rows[live], values[live], states[live], converged[live] = live_rows, live_values, psi, False
     return {"states": states, "rows": rows[:, :, 1:].reshape(n, 6, 4), "values": values,
-            "sweeps": sweeps_used, "converged": converged, "traces": traces}
+            "sweeps": sweeps_used, "converged": converged, "traces": traces, "slack": slack}

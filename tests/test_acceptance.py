@@ -24,15 +24,10 @@ from tribell.bell_expr import (
 from tribell.fixtures import (
     AQ_ANOMALY_IDS,
     AQ_TOL,
-    INCOMPATIBILITY_CLASS_TOL,
     fixture_record,
     fixture_solution,
 )
-from tribell.monotones import (
-    DEFAULT_CLASS_TOL,
-    classify_incompatibility,
-    entanglement_profile,
-)
+from tribell.monotones import classify_incompatibility, entanglement_profile
 from tribell.npa import npa_upper_bound
 from tribell.qcore import PureState, partial_transpose
 from tribell.seesaw import SeesawParams, evaluate_solution, quantum_maximum, seesaw_run
@@ -95,10 +90,8 @@ def test_criterion_5_monotone_reproduction():
         record = fixture_record(ident)
         solution = fixture_solution(ident)
         expected = record.profile
-        ent_tol = record.entanglement_tol or DEFAULT_CLASS_TOL
-        inc_tol = record.incompatibility_tol or INCOMPATIBILITY_CLASS_TOL
-        profile = entanglement_profile(solution.state, tol=ent_tol)
-        inc = classify_incompatibility(solution.measurements, tol=inc_tol)
+        profile = entanglement_profile(solution.state, tol=record.entanglement_tol)
+        inc = classify_incompatibility(solution.measurements, tol=record.incompatibility_tol)
         got = (profile.n_abc, profile.c_ab, profile.c_ac, profile.c_bc,
                inc.i_a, inc.i_b, inc.i_c)
         want = (expected.negativity, *expected.concurrences,

@@ -45,6 +45,9 @@ def test_show_known_row(capsys):
     ("tables", "--restarts", "0"),
     ("npa", "2", "--level", "1ab", "--tol", "0"),
     ("npa", "2", "--level", "1ab", "--max-iterations", "0"),
+    ("classify", "2", "--tol", "0"),
+    ("classify", "2", "--tol", "-1e-4"),
+    ("classify", "2", "--tol", "nan"),
 ])
 def test_usage_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -91,6 +94,8 @@ def test_qmax_is_reproducible(capsys):
     assert len(doc["measurements"]) == 6
     assert doc["classes"]["entanglement_tol"] > 0
     assert doc["capped_restarts"] == 0
+    assert 1 <= doc["hits"] <= 30
+    assert doc["median_sweeps"] >= 1
 
 
 def test_classify_fixture_rows(capsys):
@@ -193,9 +198,11 @@ def test_tables_full_run(capsys, tmp_path):
             assert cell["status"] == ("match" if matches else "mismatch")
         assert row["npa_bounds"] == {"status": "skipped"}
     assert report["summary"]["mismatches"] == 0
-    capped = cli.quantum_maximum(catalog_entry(17).expression,
-                                 cli.SeesawParams(restarts=40)).capped_restarts
-    assert report["rows"][16]["seesaw_value"]["capped_restarts"] == capped
+    seventeen = cli.quantum_maximum(catalog_entry(17).expression, cli.SeesawParams(restarts=40))
+    cell = report["rows"][16]["seesaw_value"]
+    assert cell["capped_restarts"] == seventeen.capped_restarts
+    assert cell["hits"] == seventeen.hits
+    assert cell["median_sweeps"] == seventeen.median_sweeps
 
     with open(csv_path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -264,3 +271,37 @@ def test_tables_integrity_failure_is_one_error(capsys, monkeypatch):
     assert err.startswith("error: ")
     assert err.count("checksum mismatch") == 1
     assert "id " not in out
+
+
+def test_tables_prints_npa_bounds(capsys, tmp_path):
+    """Each row lists the requested levels' bounds in the order given: Q1
+    is skipped (-) on every row, as each has three-body terms, and a solve
+    that hits the iteration cap reads cap."""
+    out_path = tmp_path / "report.json"
+    # A loose tolerance keeps the solves short; the bounds may then miss
+    # their checks, which this test does not look at.
+    code, out, _ = run(capsys, "tables", "--restarts", "1", "--npa", "aq", "--npa", "q1",
+                       "--tol", "1e-3", "--out", str(out_path))
+    assert code in (cli.EXIT_OK, cli.EXIT_MISMATCH)
+    lines = out.splitlines()
+    for row in json.loads(out_path.read_text())["rows"]:
+        assert row["npa_bounds"]["Q1"]["status"] == "skipped"
+        aq = f"{row['npa_bounds']['AQ']['bound']:.7f}"
+        assert lines[row["id"] - 1].split()[-5:-1] == ["AQ", aq, "Q1", "-"]
+
+    code, out, _ = run(capsys, "tables", "--restarts", "1", "--npa", "aq",
+                       "--max-iterations", "5")
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert all(line.split()[-3:-1] == ["AQ", "cap"] for line in out.splitlines()[:46])
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_tables_rejects_unwritable_path_before_running(capsys, tmp_path, monkeypatch, option):
+    def no_rows(*args):
+        raise AssertionError("a row ran before the path was checked")
+
+    monkeypatch.setattr(cli, "_tables_row", no_rows)
+    code, out, err = run(capsys, "tables", option, str(tmp_path / "missing" / "report"))
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert out == ""

@@ -6,6 +6,7 @@ import pytest
 
 from tribell.bell_expr import catalog_entry
 from tribell.fixtures import (
+    INCOMPATIBILITY_CLASS_TOL,
     FixtureIntegrityError,
     MissingStateError,
     build_fixture_measurements,
@@ -15,6 +16,7 @@ from tribell.fixtures import (
     fixture_solution,
     load_reference_table,
 )
+from tribell.monotones import DEFAULT_CLASS_TOL
 from tribell.seesaw import evaluate_solution
 
 STATELESS_IDS = (1, 10)
@@ -133,7 +135,8 @@ def test_expected_values_bundle():
 
 def test_class_tolerance_overrides():
     assert fixture_record(36).entanglement_tol == 1e-6
-    assert fixture_record(26).entanglement_tol is None
+    assert fixture_record(26).entanglement_tol == DEFAULT_CLASS_TOL
+    assert fixture_record(26).incompatibility_tol == INCOMPATIBILITY_CLASS_TOL
 
 
 def test_table_checksum_guard(monkeypatch):

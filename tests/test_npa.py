@@ -131,11 +131,9 @@ def test_moment_problem_objective_reachability():
 
 def test_sdp_params_validation():
     with pytest.raises(ValueError):
-        SdpParams(over_relaxation=2.5)
-    with pytest.raises(ValueError):
         SdpParams(tolerance=0.0)
     with pytest.raises(ValueError):
-        SdpParams(penalty=-1.0)
+        SdpParams(tolerance=float("nan"))
     with pytest.raises(ValueError):
         SdpParams(max_iterations=0)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from tribell.bell_expr import catalog_entry, parse_expression
 from tribell.qcore import Observable, PureState, bell_operator, expectation, observable_rows
 from tribell.seesaw import (
+    _MONOTONE_SLACK,
     _VALUE_TIE_TOL,
     SeesawParams,
     Solution,
@@ -39,6 +40,8 @@ def test_params_validation():
         SeesawParams(max_sweeps=-1)
     with pytest.raises(ValueError):
         SeesawParams(convergence_tol=0.0)
+    with pytest.raises(ValueError):
+        SeesawParams(convergence_tol=float("nan"))
 
 
 def test_best_state_is_optimal_for_fixed_observables():
@@ -136,18 +139,26 @@ def test_draw_cache_does_not_leak_between_calls():
 
 def test_restart_alone_equals_restart_in_batch():
     """Restarts that converge leave the live batch; the others must still
-    follow the path their stream takes in a batch of one."""
+    follow the path their stream takes in a batch of one. The batch's hit
+    count and median sweeps follow from its restarts run alone."""
     params = SeesawParams(restarts=40, master_seed=0)
     keys = tuple((i,) for i in range(params.restarts))
     for ident in (2, 5, 17, 26, 41):
-        tensor = catalog_entry(ident).expression.tensor().astype(float)
+        expr = catalog_entry(ident).expression
+        tensor = expr.tensor().astype(float)
         batch = _run_batch(tensor, _draws(params.master_seed, keys), params, keep_trace=False)
-        for i in (0, 7, 39):
-            alone = _run_batch(tensor, _draws(params.master_seed, (keys[i],)), params,
-                               keep_trace=False)
+        values, sweeps = [], []
+        for i, key in enumerate(keys):
+            alone = _run_batch(tensor, _draws(params.master_seed, (key,)), params, keep_trace=False)
             assert alone["sweeps"][0] == batch["sweeps"][i]
             assert alone["converged"][0] == batch["converged"][i]
             assert abs(alone["values"][0] - batch["values"][i]) <= _VALUE_TIE_TOL * _scale(tensor)
+            values.append(alone["values"][0])
+            sweeps.append(alone["sweeps"][0])
+        best = max(values)
+        solution = quantum_maximum(expr, params)
+        assert solution.hits == sum(v >= best - _MONOTONE_SLACK * _scale(tensor) for v in values)
+        assert solution.median_sweeps == np.median(sweeps)
 
 
 def test_different_seeds_explore_different_starts():
@@ -180,7 +191,17 @@ def test_capped_restarts_are_counted():
     solution = quantum_maximum(catalog_entry(17).expression,
                                SeesawParams(restarts=200, master_seed=0))
     assert solution.capped_restarts == 5
+    # Four of the capped restarts stop 1e-8 to 1e-7 short of the best; the
+    # others are within the slack of it.
+    assert solution.hits == 196
     assert quantum_maximum(catalog_entry(2).expression, QUICK).capped_restarts == 0
+
+
+def test_single_restart_statistics():
+    """One restart is its own best, and its sweeps are the median."""
+    solution = quantum_maximum(catalog_entry(46).expression, SeesawParams(restarts=1))
+    assert solution.hits == 1
+    assert solution.median_sweeps == solution.sweeps_used
 
 
 def test_ties_go_to_the_lowest_restart_index():
