@@ -374,28 +374,22 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
     return row
 
 
-def _row_statuses(row: dict):
-    if row.get("status") == "error":
-        yield "error"
-        return
-    yield row["local_bound"]["status"]
-    yield row["seesaw_value"]["status"]
-    yield row["fixture_value"]["status"]
-    yield row["profile"]["negativity"]["status"]
-    for cell in row["profile"]["concurrences"] + row["profile"]["incompatibilities"]:
-        yield cell["status"]
-    yield row["classes"]["status"]
-    npa_bounds = row["npa_bounds"]
-    if "status" in npa_bounds:
-        yield npa_bounds["status"]
-    else:
-        for cell in npa_bounds.values():
-            yield cell["status"]
+def _row_statuses(node):
+    """Every check in a report row: each dict with a ``status`` is one check."""
+    if isinstance(node, dict):
+        if "status" in node:
+            yield node["status"]
+            return
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _row_statuses(child)
 
 
 def _cmd_tables(args) -> int:
     seesaw_params = _params(SeesawParams, restarts=args.restarts, master_seed=args.seed)
-    npa_levels = [_LEVEL_TOKENS[token] for token in args.npa or []]
+    # A level given twice is solved once.
+    npa_levels = list(dict.fromkeys(_LEVEL_TOKENS[token] for token in args.npa or []))
     npa_params = _params(SdpParams, tolerance=args.tol, max_iterations=args.max_iterations)
     # An unwritable report path fails here, not after the rows have run.
     # Appending creates a missing file and keeps an existing one.

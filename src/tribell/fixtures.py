@@ -41,12 +41,8 @@ __all__ = [
     "FIXTURE_TOL",
     "FixtureRecord",
     "INCOMPATIBILITY_CLASS_TOL",
-    "MissingStateError",
     "PROFILE_TOL",
     "VALUE_TOL",
-    "build_fixture_measurements",
-    "build_fixture_state",
-    "expected_values",
     "fixture_record",
     "fixture_solution",
     "load_reference_table",
@@ -99,10 +95,11 @@ _PAIR_SLOTS = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2)}
 _EXPR_NAMES = {"sqrt": cmath.sqrt, "pi": math.pi, "I": 1.0j,
                "f": F_ANGLE, "s": S_ANGLE, "g": G_ANGLE}
 _EXPR_CHARS = re.compile(r"^[0-9A-Za-z+\-*/(). ]+$")
-_IDENTIFIER = re.compile(r"[A-Za-z]+")
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 _ROTATION_PREFIX = re.compile(r"^R\(([^)]*)\)\s+")
-_KET_TERM = re.compile(r"^\|([^>]+)>(?:_([A-Z]{2}))?$")
+# A ket, |k1 k2 k3> or |k1 k2>_XY, always written just after its coefficient.
+_KET = re.compile(r"\|([^|>]*)>(?:_([A-Z]{2}))?")
 _BLOCH_TEXT = re.compile(r"^bloch\(([^,]+),(.+)\)$")
 
 # Printed Bloch pairs carry five decimals (one pair only four), so their
@@ -115,10 +112,6 @@ _REAL_TOL = 1e-12
 
 class FixtureIntegrityError(RuntimeError):
     """The shipped reference table is damaged or malformed."""
-
-
-class MissingStateError(ValueError):
-    """Raised for rows whose maximum needs no quantum state."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,6 @@ class FixtureRecord:
     id: int
     kind: str
     maximum: float
-    maximum_text: str
     state_text: str | None
     measurement_texts: tuple[str, ...]
     profile: ExpectedProfile
@@ -158,82 +150,44 @@ class FixtureRecord:
     entanglement_tol: float
     incompatibility_tol: float
 
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "closed"
 
-
-def _evaluate(text: str) -> complex:
+def _evaluate(text: str, names: dict | None = None):
+    """Evaluate an arithmetic recipe over the whitelisted names (plus ``names``)."""
     text = text.strip()
+    names = {**_EXPR_NAMES, **(names or {})}
     if not text or not _EXPR_CHARS.match(text):
         raise FixtureIntegrityError(f"bad expression: {text!r}")
     for name in _IDENTIFIER.findall(text):
-        if name not in _EXPR_NAMES:
+        if name not in names:
             raise FixtureIntegrityError(f"unknown name {name!r} in {text!r}")
-    return complex(eval(text, {"__builtins__": {}}, dict(_EXPR_NAMES)))
+    try:
+        return eval(text, {"__builtins__": {}}, names)
+    except (SyntaxError, TypeError, ArithmeticError) as err:
+        raise FixtureIntegrityError(f"bad expression {text!r}: {err}") from None
 
 
 def _evaluate_real(text: str) -> float:
-    value = _evaluate(text)
+    value = complex(_evaluate(text))
     if abs(value.imag) > _REAL_TOL * (1.0 + abs(value.real)):
         raise FixtureIntegrityError(f"expression {text!r} is not real")
     return value.real
 
 
-def _split_terms(text: str) -> list[str]:
-    """Split a recipe into signed terms at top-level +/- boundaries."""
-    terms: list[str] = []
-    current: list[str] = []
-    depth = 0
-    in_ket = False
-    for ch in text:
-        if not in_ket and ch == "(":
-            depth += 1
-        elif not in_ket and ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            in_ket = True
-        elif ch == ">" and in_ket:
-            in_ket = False
-        if ch in "+-" and depth == 0 and not in_ket and "".join(current).strip():
-            terms.append("".join(current).strip())
-            current = [ch]
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        terms.append(tail)
-    if depth != 0 or in_ket:
-        raise FixtureIntegrityError(f"unbalanced state recipe: {text!r}")
-    return terms
-
-
-def _term_amplitudes(term: str) -> np.ndarray:
-    sign = 1.0
-    if term[0] in "+-":
-        sign = -1.0 if term[0] == "-" else 1.0
-        term = term[1:].strip()
-    bar = term.index("|")
-    coefficient = sign * _evaluate(term[:bar].strip().rstrip("*").strip() or "1")
-    ket = _KET_TERM.match(term[bar:])
-    if ket is None:
-        raise FixtureIntegrityError(f"bad ket term: {term!r}")
-    labels = ket.group(1).split()
-    suffix = ket.group(2)
-    if len(labels) == 3 and suffix is None:
+def _ket(labels: list[str], pair: str | None) -> np.ndarray:
+    """Product vector of one ket; a bipartite ket leaves its third party at |0>."""
+    if len(labels) == 3 and pair is None:
         slots = (0, 1, 2)
-    elif len(labels) == 2 and suffix in _PAIR_SLOTS:
-        slots = _PAIR_SLOTS[suffix]
+    elif len(labels) == 2 and pair in _PAIR_SLOTS:
+        slots = _PAIR_SLOTS[pair]
     else:
-        raise FixtureIntegrityError(f"bad ket term: {term!r}")
+        raise FixtureIntegrityError(f"bad ket: {labels!r} {pair!r}")
     factors = [_KETS["0"], _KETS["0"], _KETS["0"]]
     for slot, label in zip(slots, labels):
         try:
             factors[slot] = _KETS[label]
         except KeyError:
             raise FixtureIntegrityError(f"unknown ket label {label!r}") from None
-    amplitudes = np.einsum("a,b,c->abc", factors[0], factors[1], factors[2])
-    return coefficient * amplitudes
+    return np.einsum("a,b,c->abc", factors[0], factors[1], factors[2])
 
 
 def _apply_rotation(amplitudes: np.ndarray, party: int, angle: float) -> np.ndarray:
@@ -253,9 +207,19 @@ def _parse_state(text: str) -> PureState:
                 raise FixtureIntegrityError(f"bad rotation text: {piece!r}")
             rotations.append((_PARTY_INDEX[party.strip()], _evaluate_real(angle)))
         text = text[match.end():]
-    amplitudes = np.zeros((2, 2, 2), dtype=complex)
-    for term in _split_terms(text):
-        amplitudes += _term_amplitudes(term)
+    # Each ket becomes a name bound to its product vector, so the whole
+    # recipe is one expression: "c1|0 0 0> - c2|1 1 1>" reads "c1*K0 - c2*K1".
+    kets: dict[str, np.ndarray] = {}
+
+    def bind(ket: re.Match) -> str:
+        name = f"K{len(kets)}"
+        kets[name] = _ket(ket.group(1).split(), ket.group(2))
+        return f"*{name}"
+
+    body = _KET.sub(bind, text)
+    if not kets or "|" in body or ">" in body:
+        raise FixtureIntegrityError(f"bad state recipe: {text!r}")
+    amplitudes = _evaluate(body, kets)
     for party, angle in rotations:
         amplitudes = _apply_rotation(amplitudes, party, angle)
     norm = float(np.linalg.norm(amplitudes))
@@ -295,8 +259,7 @@ def _parse_row(line: str) -> FixtureRecord:
     kind = fields[1]
     if kind not in ("closed", "decimal"):
         raise FixtureIntegrityError(f"row {ident}: bad kind {kind!r}")
-    maximum_text = fields[2]
-    maximum = _evaluate_real(maximum_text)
+    maximum = _evaluate_real(fields[2])
     state_text = None if fields[3] == "none" else fields[3]
     numbers = [float(piece) for piece in fields[10].split(",")]
     classes = [int(piece) for piece in fields[11].split(",")]
@@ -317,7 +280,6 @@ def _parse_row(line: str) -> FixtureRecord:
         id=ident,
         kind=kind,
         maximum=maximum,
-        maximum_text=maximum_text,
         state_text=state_text,
         measurement_texts=tuple(fields[4:10]),
         profile=ExpectedProfile(*numbers, classes[0], classes[1]),
@@ -351,39 +313,19 @@ def fixture_record(ident: int) -> FixtureRecord:
     return load_reference_table()[ident - 1]
 
 
-def build_fixture_state(ident: int) -> PureState:
-    """Optimal state for one inequality, padded with |0> where bipartite."""
+def fixture_solution(ident: int) -> Solution:
+    """The published optimal state and six observables (A, a, B, b, C, c).
+
+    Bipartite states are padded with |0>. Rows without a state get |000>:
+    with both of their observables at +identity per party the value does
+    not depend on the state.
+    """
     record = fixture_record(ident)
     if record.state_text is None:
-        raise MissingStateError(f"inequality {ident} needs no quantum state")
-    return _parse_state(record.state_text)
-
-
-def build_fixture_measurements(ident: int) -> tuple[Observable, ...]:
-    """The six optimal observables (A, a, B, b, C, c) for one inequality."""
-    record = fixture_record(ident)
-    return tuple(_parse_measurement(text) for text in record.measurement_texts)
-
-
-def expected_values(ident: int) -> tuple[float, ExpectedProfile, tuple[int, int]]:
-    """Published maximum, monotone profile, and class pair for one inequality."""
-    record = fixture_record(ident)
-    return record.maximum, record.profile, record.class_pair
-
-
-def fixture_solution(ident: int) -> Solution:
-    """Package the fixture as a ready-to-evaluate solution.
-
-    Rows without a state get |000>: with both of their observables at
-    +identity per party the value does not depend on the state.
-    """
-    try:
-        state = build_fixture_state(ident)
-    except MissingStateError:
-        vector = np.zeros(8, dtype=complex)
-        vector[0] = 1.0
-        state = PureState(vector)
-    measurements = build_fixture_measurements(ident)
+        state = PureState(np.eye(8, dtype=complex)[0])
+    else:
+        state = _parse_state(record.state_text)
+    measurements = tuple(_parse_measurement(text) for text in record.measurement_texts)
     operator = bell_operator(catalog_entry(ident).expression, measurements)
     return Solution(
         state=state,

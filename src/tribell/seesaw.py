@@ -94,6 +94,8 @@ class SeesawParams:
         # Written so that NaN fails too.
         if not self.convergence_tol > 0.0:
             raise ValueError("convergence_tol must be positive")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ def test_show_known_row(capsys):
     ("classify", "2", "--tol", "0"),
     ("classify", "2", "--tol", "-1e-4"),
     ("classify", "2", "--tol", "nan"),
+    ("qmax", "2", "--seed", "-1"),
+    ("tables", "--seed", "-1"),
 ])
 def test_usage_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -293,6 +295,22 @@ def test_tables_prints_npa_bounds(capsys, tmp_path):
                        "--max-iterations", "5")
     assert code == cli.EXIT_NO_CONVERGENCE
     assert all(line.split()[-3:-1] == ["AQ", "cap"] for line in out.splitlines()[:46])
+
+
+def test_tables_solves_a_repeated_level_once(capsys, tmp_path, monkeypatch):
+    levels = []
+    real = cli.npa_solve
+
+    def counting(expr, level, params):
+        levels.append(level)
+        return real(expr, level, params)
+
+    monkeypatch.setattr(cli, "npa_solve", counting)
+    out_path = tmp_path / "report.json"
+    run(capsys, "tables", "--restarts", "1", "--npa", "q1", "--npa", "aq", "--npa", "q1",
+        "--tol", "1e-3", "--max-iterations", "5", "--out", str(out_path))
+    assert levels == ["Q1", "AQ"] * 46
+    assert json.loads(out_path.read_text())["metadata"]["npa_levels"] == ["Q1", "AQ"]
 
 
 @pytest.mark.parametrize("option", ["--out", "--csv"])

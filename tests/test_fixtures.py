@@ -8,10 +8,7 @@ from tribell.bell_expr import catalog_entry
 from tribell.fixtures import (
     INCOMPATIBILITY_CLASS_TOL,
     FixtureIntegrityError,
-    MissingStateError,
-    build_fixture_measurements,
-    build_fixture_state,
-    expected_values,
+    _parse_state,
     fixture_record,
     fixture_solution,
     load_reference_table,
@@ -33,7 +30,6 @@ def test_record_kinds():
         record = fixture_record(ident)
         assert record.kind in ("closed", "decimal")
         assert (record.kind == "closed") == (ident in CLOSED_IDS)
-        assert record.is_exact == (record.kind == "closed")
         assert len(record.measurement_texts) == 6
         assert len(record.class_pair) == 2
 
@@ -52,17 +48,15 @@ def test_closed_form_maxima_are_stored_exactly():
 
 def test_states_build_normalized():
     for ident in range(1, 47):
-        if ident in STATELESS_IDS:
-            with pytest.raises(MissingStateError):
-                build_fixture_state(ident)
-            continue
-        state = build_fixture_state(ident)
+        state = fixture_solution(ident).state
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
+        if ident in STATELESS_IDS:
+            assert state.amplitudes[0] == 1
 
 
 def test_measurements_build_for_all_rows():
     for ident in range(1, 47):
-        measurements = build_fixture_measurements(ident)
+        measurements = fixture_solution(ident).measurements
         assert len(measurements) == 6
         for obs in measurements:
             if not obs.is_identity:
@@ -124,13 +118,30 @@ def test_fixture_values_spot_checks():
 
 
 def test_expected_values_bundle():
-    maximum, profile, pair = expected_values(26)
-    assert maximum == pytest.approx(1 + 4 * math.sqrt(3), abs=1e-12)
+    record = fixture_record(26)
+    profile = record.profile
+    assert record.maximum == pytest.approx(1 + 4 * math.sqrt(3), abs=1e-12)
     assert profile.negativity == pytest.approx(0.942809, abs=1e-6)
     assert profile.concurrences == (profile.c_ab, profile.c_ac, profile.c_bc)
     assert profile.incompatibilities == (1.0, 1.0, 1.0)
     assert (profile.entanglement_class, profile.incompatibility_class) == (5, 11)
-    assert pair == (5, 11)
+    assert record.class_pair == (5, 11)
+
+
+@pytest.mark.parametrize("recipe", [
+    "(1/sqrt(2))|0 q>_AB + (1/sqrt(2))|1 1>_AB",
+    "__import__('os')|0 0 0>",
+    "sqrt(2)|0 0 0> + 1|1 1 1>",
+    "junk(2)|0 0 0>",
+    "(1/sqrt(2))|0 0 0> | (1/sqrt(2))|1 1 1>",
+    "(1/sqrt(2))|0 0 0> + (1/sqrt(2))|1 1 1>>",
+    "(1/sqrt(2))|0 0>_XY + (1/sqrt(2))|1 1>_AB",
+    "|0 0 0>",
+    "0.5",
+])
+def test_damaged_recipes_are_rejected(recipe):
+    with pytest.raises(FixtureIntegrityError):
+        _parse_state(recipe)
 
 
 def test_class_tolerance_overrides():

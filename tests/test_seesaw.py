@@ -42,6 +42,8 @@ def test_params_validation():
         SeesawParams(convergence_tol=0.0)
     with pytest.raises(ValueError):
         SeesawParams(convergence_tol=float("nan"))
+    with pytest.raises(ValueError):
+        SeesawParams(master_seed=-1)
 
 
 def test_best_state_is_optimal_for_fixed_observables():
