@@ -258,6 +258,8 @@ def _cmd_npa(args) -> int:
             "primal_residual": solution.primal_residual,
             "dual_residual": solution.dual_residual,
             "iterations": solution.iterations,
+            "penalty_updates": solution.penalty_updates,
+            "rejected_steps": solution.rejected_steps,
             "tolerance": args.tol,
         }, indent=2))
         return EXIT_OK
@@ -265,6 +267,8 @@ def _cmd_npa(args) -> int:
     print(f"upper bound  {solution.bound:.9f}")
     print(f"residuals    primal {solution.primal_residual:.3e}  dual {solution.dual_residual:.3e}")
     print(f"iterations   {solution.iterations}")
+    print(f"adaptation   penalty updates {solution.penalty_updates}  "
+          f"rejected steps {solution.rejected_steps}")
     return EXIT_OK
 
 
@@ -364,6 +368,8 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
         cell = {
             "bound": npa_solution.bound,
             "iterations": npa_solution.iterations,
+            "penalty_updates": npa_solution.penalty_updates,
+            "rejected_steps": npa_solution.rejected_steps,
             "status": "computed",
         }
         if level == "AQ" and record.kind == "closed" and ident not in AQ_ANOMALY_IDS:

@@ -11,10 +11,18 @@ diagonal cell is in the identity class, so Gamma has a unit diagonal.
 Moments of a word and its reverse agree for the optimal value, so both
 map to one class representative and Gamma is real symmetric.
 
-The bound is computed by an operator-splitting (ADMM) iteration that
-alternates projection onto the affine class structure with projection
-onto the positive-semidefinite cone, then adds a residual-derived
-safety margin on top of the reported objective.
+The bound is computed by an over-relaxed operator-splitting (ADMM)
+iteration that alternates projection onto the affine class structure
+with projection onto the positive-semidefinite cone. Its state is one
+symmetric matrix whose positive part is the PSD iterate and whose
+negative part is the scaled dual, so an iteration costs one
+eigendecomposition. Safeguarded type-II Anderson acceleration
+extrapolates that state from the last few fixed-point residuals, which
+removes most of ADMM's slow linear tail; an extrapolation that does not
+shrink the residual is thrown away. The reported bound is the objective
+plus a safety margin of 10 max(tolerance, residuals) times the 1-norm of
+the objective coefficients. The margin is a heuristic, not a
+weak-duality certificate.
 """
 
 from __future__ import annotations
@@ -119,6 +127,10 @@ class MomentProblem:
 # which the iteration then adapts every ``adapt_interval`` iterations.
 _OVER_RELAXATION = 1.5
 _INITIAL_PENALTY = 1.0
+# Anderson acceleration mixes this many past fixed-point residuals; its
+# normal equations get a Tikhonov term of this weight times their trace.
+_ANDERSON_MEMORY = 10
+_ANDERSON_REGULARIZATION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,6 +156,9 @@ class SdpSolution:
     iterations: int
     status: str
     bound: float
+    tolerance: float
+    penalty_updates: int = 0
+    rejected_steps: int = 0
     gamma: np.ndarray = field(repr=False, compare=False, default=None)
 
 
@@ -186,11 +201,29 @@ def build_moment_problem(expr: BellExpression, level: str) -> MomentProblem:
 
 
 def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> SdpSolution:
-    """Maximize the objective over PSD moment matrices by ADMM splitting.
+    """Maximize the objective over PSD moment matrices by accelerated ADMM.
 
     X carries the affine structure (equal cells within a class, identity
-    class pinned to 1), Z the PSD cone; both residuals must drop below
-    params.tolerance for convergence.
+    class pinned to 1), Z the PSD cone and U the scaled dual. The state
+    is the one symmetric matrix V = Z + U, whose positive part is Z and
+    negative part U, so each iteration does one eigendecomposition. The
+    over-relaxed ADMM step maps V to
+
+        T(V) = alpha X + (1 - alpha) Z + U,  X = affine projection of Z - U + C / rho.
+
+    Type-II Anderson acceleration extrapolates V from the last
+    ``_ANDERSON_MEMORY`` differences of T(V) - V and of T(V). A safeguard
+    rejects an extrapolated point whose ||T(V) - V|| exceeds that of the
+    last accepted point: the iteration resumes from that point's plain
+    image with an empty memory. The memory is also emptied whenever rho
+    adapts; with an empty memory the step is plain ADMM.
+
+    The primal residual ||X_k - Z_{k+1}|| and dual residual
+    rho ||Z_{k+1} - Z_k|| are taken against the last accepted point; both
+    must drop below params.tolerance for convergence. ``iterations``
+    counts eigendecompositions, rejected steps included. The bound adds
+    10 max(tolerance, residuals) times the objective coefficient 1-norm
+    to the objective of Z's class means.
     """
     n = problem.size
     reps = sorted(problem.classes)
@@ -213,36 +246,73 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
         out[identity_cells] = 1.0
         return out.reshape(n, n)
 
-    def project_psd(m: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(m)
-        pos = vals > 0.0
-        if not np.any(pos):
-            return np.zeros_like(m)
-        return (vecs[:, pos] * vals[pos]) @ vecs[:, pos].T
-
     rho = _INITIAL_PENALTY
     alpha = _OVER_RELAXATION
-    z = project_affine(np.zeros((n, n)))
-    u = np.zeros((n, n))
-    primal = dual = np.inf
-    iteration = 0
-    for iteration in range(1, params.max_iterations + 1):
+
+    def step(z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The affine iterate X and the plain image T(V) of V = Z + U."""
         x = project_affine(z - u + c / rho)
-        x_relaxed = alpha * x + (1.0 - alpha) * z
-        z_new = project_psd(x_relaxed + u)
-        u += x_relaxed - z_new
-        primal = float(np.linalg.norm(x - z_new))
-        dual = float(rho * np.linalg.norm(z_new - z))
-        z = z_new
+        return x, alpha * x + (1.0 - alpha) * z + u
+
+    delta_f = np.empty((_ANDERSON_MEMORY, n * n))
+    delta_g = np.empty((_ANDERSON_MEMORY, n * n))
+    pushed = 0  # difference pairs stored since the memory was last emptied
+
+    # The last accepted point: its X, Z, T(V), and T(V) - V with its
+    # norm. The start V = Z = the identity is its own positive part.
+    z_ok = project_affine(np.zeros((n, n)))
+    x_ok, t_ok = step(z_ok, np.zeros((n, n)))
+    f_ok = t_ok - z_ok
+    f_norm_ok = np.linalg.norm(f_ok)
+    v = t_ok
+    extrapolated = False
+    primal = dual = np.inf
+    iteration = penalty_updates = rejected_steps = 0
+    for iteration in range(1, params.max_iterations + 1):
+        vals, vecs = np.linalg.eigh(v)
+        pos = vals > 0.0
+        z = (vecs[:, pos] * vals[pos]) @ vecs[:, pos].T
+        u = v - z
+        primal = float(np.linalg.norm(x_ok - z))
+        dual = float(rho * np.linalg.norm(z - z_ok))
         if primal < params.tolerance and dual < params.tolerance:
             break
-        if iteration % params.adapt_interval == 0:
-            if primal > 10.0 * dual:
-                rho *= 2.0
-                u /= 2.0
-            elif dual > 10.0 * primal:
-                rho /= 2.0
-                u *= 2.0
+        if iteration % params.adapt_interval == 0 and (
+            primal > 10.0 * dual or dual > 10.0 * primal
+        ):
+            scale = 2.0 if primal > dual else 0.5
+            rho *= scale
+            u /= scale
+            v = z + u
+            penalty_updates += 1
+            # T changed with rho: neither the memory nor the last accepted
+            # point's residual describes it any more.
+            pushed = 0
+            f_ok = None
+        x, t = step(z, u)
+        f = t - v
+        f_norm = np.linalg.norm(f)
+        if f_ok is not None:
+            if extrapolated and f_norm > f_norm_ok:
+                rejected_steps += 1
+                pushed = 0
+                v = t_ok
+                extrapolated = False
+                continue
+            row = pushed % _ANDERSON_MEMORY
+            delta_f[row] = (f - f_ok).ravel()
+            delta_g[row] = (t - t_ok).ravel()
+            pushed += 1
+        x_ok, z_ok, t_ok, f_ok, f_norm_ok = x, z, t, f, f_norm
+        v = t
+        stored = min(pushed, _ANDERSON_MEMORY)
+        extrapolated = stored > 0
+        if extrapolated:
+            df = delta_f[:stored]
+            gram = df @ df.T
+            gram.flat[:: stored + 1] += _ANDERSON_REGULARIZATION * np.trace(gram)
+            gamma = np.linalg.solve(gram, df @ f.ravel())
+            v = t - (gamma @ delta_g[:stored]).reshape(n, n)
 
     means = np.bincount(cell_class, weights=z.ravel(), minlength=len(reps))
     means /= counts
@@ -257,19 +327,25 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
         dual_residual=dual,
         iterations=iteration,
         status="converged" if converged else "max_iterations",
-        bound=objective_value + _margin(problem, primal, dual),
+        bound=objective_value + _margin(problem, max(params.tolerance, primal, dual)),
+        tolerance=params.tolerance,
+        penalty_updates=penalty_updates,
+        rejected_steps=rejected_steps,
         gamma=z,
     )
 
 
-def _margin(problem: MomentProblem, primal: float, dual: float) -> float:
-    return 10.0 * max(primal, dual) * sum(abs(w) for w in problem.objective.values())
+def _margin(problem: MomentProblem, residual: float) -> float:
+    return 10.0 * residual * sum(abs(w) for w in problem.objective.values())
 
 
 def rigor_margin(problem: MomentProblem, solution: SdpSolution) -> float:
-    """Safety margin on the sdp objective: 10 max(residuals) times the
-    objective coefficient 1-norm. ``solution.bound`` already includes it."""
-    return _margin(problem, solution.primal_residual, solution.dual_residual)
+    """Safety margin on the sdp objective: 10 max(tolerance, residuals)
+    times the objective coefficient 1-norm. ``solution.bound`` already
+    includes it. The tolerance is the floor, so the margin of a converged
+    solve does not depend on where the iteration happened to stop."""
+    return _margin(problem, max(solution.tolerance, solution.primal_residual,
+                                solution.dual_residual))
 
 
 def npa_solve(expr: BellExpression, level: str, params: SdpParams = SdpParams()) -> SdpSolution:
@@ -288,5 +364,9 @@ def npa_solve(expr: BellExpression, level: str, params: SdpParams = SdpParams())
 
 
 def npa_upper_bound(expr: BellExpression, level: str, params: SdpParams = SdpParams()) -> float:
-    """Certified-style upper bound: sdp objective plus ``rigor_margin``."""
+    """Upper bound from the moment relaxation: the sdp objective plus the
+    heuristic ``rigor_margin`` (not a weak-duality certificate).
+
+    Raises like ``npa_solve``.
+    """
     return npa_solve(expr, level, params).bound

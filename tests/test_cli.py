@@ -163,12 +163,15 @@ def test_npa_text_and_json(capsys):
     assert code == 0
     assert "level        1+AB" in out
     assert "upper bound  4.0000" in out
+    assert "adaptation   penalty updates " in out
     code, out, _ = run(capsys, "npa", "AB + Ab + aB - ab", "--level", "q1", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == cli.NPA_SCHEMA
     assert doc["id"] is None
     assert doc["bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-5)
+    for key in ("iterations", "penalty_updates", "rejected_steps"):
+        assert isinstance(doc[key], int) and doc[key] >= 0, key
 
 
 def test_npa_unreachable_level_is_usage_error(capsys):
@@ -178,7 +181,7 @@ def test_npa_unreachable_level_is_usage_error(capsys):
 
 
 def test_npa_iteration_cap_exits_3(capsys):
-    code, _, err = run(capsys, "npa", "2", "--level", "1ab", "--max-iterations", "50")
+    code, _, err = run(capsys, "npa", "2", "--level", "1ab", "--max-iterations", "5")
     assert code == 3
     assert "no convergence" in err
 
@@ -288,7 +291,9 @@ def test_tables_prints_npa_bounds(capsys, tmp_path):
     lines = out.splitlines()
     for row in json.loads(out_path.read_text())["rows"]:
         assert row["npa_bounds"]["Q1"]["status"] == "skipped"
-        aq = f"{row['npa_bounds']['AQ']['bound']:.7f}"
+        cell = row["npa_bounds"]["AQ"]
+        assert {"iterations", "penalty_updates", "rejected_steps"} <= set(cell)
+        aq = f"{cell['bound']:.7f}"
         assert lines[row["id"] - 1].split()[-5:-1] == ["AQ", aq, "Q1", "-"]
 
     code, out, _ = run(capsys, "tables", "--restarts", "1", "--npa", "aq",

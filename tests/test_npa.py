@@ -18,6 +18,8 @@ from tribell.npa import (
 )
 from tribell.seesaw import SeesawParams, quantum_maximum
 
+from conftest import CERTIFY_SDP
+
 CHSH = parse_expression("AB + Ab + aB - ab")
 MERMIN = catalog_entry(2).expression
 
@@ -200,3 +202,51 @@ def test_non_convergence_raises():
     solution = sdp_maximize(problem, starving)
     assert solution.status == "max_iterations"
     assert solution.iterations == 5
+
+
+@pytest.mark.parametrize("ident, level", [(41, "AQ"), (28, "1+AB")])
+def test_slowest_certification_solves_converge_quickly(ident, level):
+    """Anderson acceleration cuts ADMM's linear tail: these two solves
+    took 4,850 and 3,851 plain iterations."""
+    problem = build_moment_problem(catalog_entry(ident).expression, level)
+    solution = sdp_maximize(problem, CERTIFY_SDP)
+    assert solution.status == "converged"
+    assert solution.iterations <= 1500
+
+
+def test_rigor_margin_is_floored_at_the_tolerance():
+    problem = build_moment_problem(MERMIN, "1+AB")
+    coefficient_norm = sum(abs(w) for w in problem.objective.values())
+    solution = sdp_maximize(problem, QUICK_SDP)
+    assert solution.status == "converged"
+    assert max(solution.primal_residual, solution.dual_residual) < QUICK_SDP.tolerance
+    margin = rigor_margin(problem, solution)
+    assert margin == 10.0 * QUICK_SDP.tolerance * coefficient_norm
+    assert solution.bound == solution.objective_value + margin
+
+    capped = sdp_maximize(problem, SdpParams(max_iterations=5))
+    assert capped.status == "max_iterations"
+    residual = max(capped.primal_residual, capped.dual_residual)
+    assert residual > capped.tolerance
+    assert rigor_margin(problem, capped) == 10.0 * residual * coefficient_norm
+
+
+def test_aq_and_1ab_agree_on_row_44():
+    """Row 44's two levels have one optimum; their bounds, each with the
+    same tolerance-set margin, may differ only by the solves' accuracy."""
+    expr = catalog_entry(44).expression
+    aq = npa_upper_bound(expr, "AQ", CERTIFY_SDP)
+    one_ab = npa_upper_bound(expr, "1+AB", CERTIFY_SDP)
+    assert abs(aq - one_ab) < 1e-8
+
+
+def test_adaptation_counters():
+    """A large objective unbalances the residuals, so rho adapts; the
+    safeguard rejects some extrapolations on the way."""
+    problem = build_moment_problem(parse_expression("1000 ABC + 1000 aBc"), "1+AB")
+    solution = sdp_maximize(problem, SdpParams(adapt_interval=10))
+    assert solution.status == "converged"
+    assert solution.objective_value == pytest.approx(2000.0, abs=1e-6)
+    assert solution.penalty_updates >= 1
+    assert solution.rejected_steps >= 1
+    assert solution.rejected_steps < solution.iterations
