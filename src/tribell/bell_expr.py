@@ -23,6 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 __all__ = [
+    "CATALOG_IDS",
     "BellExpression",
     "BellParseError",
     "CatalogEntry",
@@ -33,6 +34,7 @@ __all__ = [
     "load_catalog",
     "local_bound",
     "parse_expression",
+    "read_checked_table",
     "substitute_identity",
 ]
 
@@ -40,6 +42,9 @@ TermIndex = tuple[int, int, int]
 
 _LETTER_SLOT = {"A": (0, 1), "a": (0, 2), "B": (1, 1), "b": (1, 2), "C": (2, 1), "c": (2, 2)}
 _SLOT_LETTER = {(party, setting): letter for letter, (party, setting) in _LETTER_SLOT.items()}
+
+# The ids of the catalog's rows; the reference table has one row per id too.
+CATALOG_IDS = range(1, 47)
 
 _CATALOG_RESOURCE = "data/sliwa_catalog.txt"
 _CATALOG_SHA256 = "51d6829afa2c1e6638caa2eb3e5e877e098f10d6faf5abf55d2ddcecf699e909"
@@ -90,14 +95,6 @@ class BellExpression:
         for (t1, t2, t3), coeff in self._coeffs.items():
             out[t1, t2, t3] = coeff
         return out
-
-    def __add__(self, other: "BellExpression") -> "BellExpression":
-        if not isinstance(other, BellExpression):
-            return NotImplemented
-        merged = dict(self._coeffs)
-        for term, coeff in other._coeffs.items():
-            merged[term] = merged.get(term, 0) + coeff
-        return BellExpression(merged)
 
     def __eq__(self, other):
         if not isinstance(other, BellExpression):
@@ -291,36 +288,43 @@ def substitute_identity(
     return BellExpression(merged)
 
 
+def read_checked_table(resource: str, sha256: str, name: str, error: type, parse_row):
+    """Rows of an embedded table, one per catalog id, in id order.
+
+    The text must hash to ``sha256``; blank lines and ``#`` comments are
+    skipped and each other line, stripped, goes to ``parse_row``, whose
+    results carry an ``id``. A wrong checksum or id sequence raises
+    ``error``, with messages that start with ``name``.
+    """
+    text = resources.files(__package__).joinpath(resource).read_text(encoding="utf-8")
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if digest != sha256:
+        raise error(f"{name} checksum mismatch: expected {sha256}, got {digest}")
+    lines = (line.strip() for line in text.splitlines())
+    rows = tuple(parse_row(line) for line in lines if line and not line.startswith("#"))
+    if [row.id for row in rows] != list(CATALOG_IDS):
+        raise error(f"{name} must hold ids {CATALOG_IDS[0]}..{CATALOG_IDS[-1]} in order")
+    return rows
+
+
+def _parse_catalog_row(line: str) -> CatalogEntry:
+    ident, lmax, body = line.split(";")
+    return CatalogEntry(
+        id=int(ident),
+        local_maximum=int(lmax),
+        expression=parse_expression(body),
+        source=body.strip(),
+    )
+
+
 @lru_cache(maxsize=1)
 def load_catalog() -> tuple[CatalogEntry, ...]:
     """All 46 catalog entries, ordered by id, checksum-verified."""
-    text = resources.files(__package__).joinpath(_CATALOG_RESOURCE).read_text(encoding="utf-8")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    if digest != _CATALOG_SHA256:
-        raise CatalogIntegrityError(
-            f"catalog checksum mismatch: expected {_CATALOG_SHA256}, got {digest}"
-        )
-    entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        ident, lmax, body = line.split(";")
-        entries.append(
-            CatalogEntry(
-                id=int(ident),
-                local_maximum=int(lmax),
-                expression=parse_expression(body),
-                source=body.strip(),
-            )
-        )
-    if [e.id for e in entries] != list(range(1, 47)):
-        raise CatalogIntegrityError("catalog must hold ids 1..46 in order")
-    return tuple(entries)
+    return read_checked_table(_CATALOG_RESOURCE, _CATALOG_SHA256, "catalog",
+                              CatalogIntegrityError, _parse_catalog_row)
 
 
 def catalog_entry(ident: int) -> CatalogEntry:
-    catalog = load_catalog()
-    if not 1 <= ident <= len(catalog):
-        raise KeyError(f"no catalog entry {ident}; ids run 1..{len(catalog)}")
-    return catalog[ident - 1]
+    if ident not in CATALOG_IDS:
+        raise KeyError(f"no catalog entry {ident}; ids run {CATALOG_IDS[0]}..{CATALOG_IDS[-1]}")
+    return load_catalog()[ident - 1]

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from .bell_expr import (
+    CATALOG_IDS,
     BellExpression,
     BellParseError,
     CatalogIntegrityError,
@@ -40,8 +41,8 @@ from .monotones import (
     classify_incompatibility,
     entanglement_profile,
 )
-from .npa import SdpParams, npa_solve
-from .qcore import Observable, PureState
+from .npa import LEVELS, SdpParams, npa_solve
+from .qcore import Observable, PureState, bell_operator, expectation
 from .seesaw import SeesawParams, Solution, quantum_maximum
 
 EXIT_OK = 0
@@ -55,7 +56,19 @@ NPA_SCHEMA = "tribell.npa/1"
 CLASSES_SCHEMA = "tribell.classes/1"
 REPORT_SCHEMA = "tribell.report/1"
 
-_LEVEL_TOKENS = {"q1": "Q1", "1ab": "1+AB", "aq": "AQ", "q2": "Q2"}
+# Each level's command-line token: lower case without "+", e.g. "1ab" for 1+AB.
+_LEVEL_TOKENS = {level.lower().replace("+", ""): level for level in LEVELS}
+
+# Each status a report check can take: the summary counter it adds to, and
+# the exit code it asks for. ``tables`` exits with the largest code asked.
+_STATUSES = {
+    "match": ("matches", EXIT_OK),
+    "computed": ("matches", EXIT_OK),
+    "skipped": ("skipped", EXIT_OK),
+    "mismatch": ("mismatches", EXIT_MISMATCH),
+    "no-convergence": ("no_convergence", EXIT_NO_CONVERGENCE),
+    "error": ("errors", EXIT_ERROR),
+}
 
 
 class UsageError(Exception):
@@ -74,8 +87,9 @@ def _parse_ident(text: str) -> int:
         ident = int(text)
     except ValueError:
         raise UsageError(f"inequality id must be an integer, got {text!r}")
-    if not 1 <= ident <= 46:
-        raise UsageError(f"inequality id must be 1..46, got {ident}")
+    if ident not in CATALOG_IDS:
+        raise UsageError(
+            f"inequality id must be {CATALOG_IDS[0]}..{CATALOG_IDS[-1]}, got {ident}")
     return ident
 
 
@@ -138,7 +152,9 @@ def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams | 
     return doc
 
 
-def _solution_from_doc(doc: dict) -> Solution:
+def _solution_from_doc(doc: dict, expr: BellExpression) -> Solution:
+    """The state and measurements of a solution document, with their value on
+    ``expr``; the document's own value and statistics are not read."""
     state = PureState.from_vector(
         np.array(doc["state"]["re"], dtype=float)
         + 1j * np.array(doc["state"]["im"], dtype=float),
@@ -147,14 +163,9 @@ def _solution_from_doc(doc: dict) -> Solution:
     measurements = tuple(_observable_from_doc(d) for d in doc["measurements"])
     if len(measurements) != 6:
         raise UsageError("solution document needs exactly 6 measurements")
-    return Solution(
-        state=state,
-        measurements=measurements,
-        value=float(doc.get("value", 0.0)),
-        sweeps_used=int(doc.get("sweeps_used", 0)),
-        restart_index=int(doc.get("restart_index", 0)),
-        capped_restarts=int(doc.get("capped_restarts", 0)),
-    )
+    value = expectation(state, bell_operator(expr, measurements))
+    return Solution(state=state, measurements=measurements, value=value,
+                    sweeps_used=0, restart_index=0)
 
 
 def _classes_for(solution: Solution, ent_tol: float, inc_tol: float) -> dict:
@@ -257,9 +268,7 @@ def _cmd_npa(args) -> int:
             "objective_value": solution.objective_value,
             "primal_residual": solution.primal_residual,
             "dual_residual": solution.dual_residual,
-            "iterations": solution.iterations,
-            "penalty_updates": solution.penalty_updates,
-            "rejected_steps": solution.rejected_steps,
+            **_npa_counts(solution),
             "tolerance": args.tol,
         }, indent=2))
         return EXIT_OK
@@ -270,6 +279,16 @@ def _cmd_npa(args) -> int:
     print(f"adaptation   penalty updates {solution.penalty_updates}  "
           f"rejected steps {solution.rejected_steps}")
     return EXIT_OK
+
+
+def _npa_counts(solution) -> dict:
+    """How a moment-matrix solve got its bound, as ``npa --json`` and the
+    ``tables`` npa cells report it."""
+    return {
+        "iterations": solution.iterations,
+        "penalty_updates": solution.penalty_updates,
+        "rejected_steps": solution.rejected_steps,
+    }
 
 
 def _cmd_classify(args) -> int:
@@ -287,7 +306,7 @@ def _cmd_classify(args) -> int:
         if doc.get("schema") != SOLUTION_SCHEMA:
             raise UsageError(f"unsupported solution schema: {doc.get('schema')!r}")
         try:
-            solution = _solution_from_doc(doc)
+            solution = _solution_from_doc(doc, catalog_entry(ident).expression)
         except (KeyError, TypeError, ValueError) as err:
             raise UsageError(f"malformed solution document: {err!r}")
         ent_tol = inc_tol = args.tol if args.tol is not None else DEFAULT_CLASS_TOL
@@ -367,9 +386,7 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
             continue
         cell = {
             "bound": npa_solution.bound,
-            "iterations": npa_solution.iterations,
-            "penalty_updates": npa_solution.penalty_updates,
-            "rejected_steps": npa_solution.rejected_steps,
+            **_npa_counts(npa_solution),
             "status": "computed",
         }
         if level == "AQ" and record.kind == "closed" and ident not in AQ_ANOMALY_IDS:
@@ -410,7 +427,7 @@ def _cmd_tables(args) -> int:
     load_catalog()
     load_reference_table()
     ordered = []
-    for ident in range(1, 47):
+    for ident in CATALOG_IDS:
         # A failure in one row is recorded there and does not sink the report.
         try:
             ordered.append(_tables_row(ident, seesaw_params, npa_levels, npa_params))
@@ -419,9 +436,9 @@ def _cmd_tables(args) -> int:
                 {"id": ident, "status": "error", "error": f"{type(err).__name__}: {err}"}
             )
     statuses = [status for row in ordered for status in _row_statuses(row)]
-    mismatches = sum(status == "mismatch" for status in statuses)
-    unconverged = sum(status == "no-convergence" for status in statuses)
-    errors = sum(status == "error" for status in statuses)
+    summary = {"checks": len(statuses), **{counter: 0 for counter, _ in _STATUSES.values()}}
+    for status in statuses:
+        summary[_STATUSES[status][0]] += 1
     report = {
         "schema": REPORT_SCHEMA,
         "metadata": {
@@ -432,14 +449,7 @@ def _cmd_tables(args) -> int:
             "duration_seconds": round(time.perf_counter() - started, 3),
         },
         "rows": ordered,
-        "summary": {
-            "checks": len(statuses),
-            "matches": sum(status in ("match", "computed") for status in statuses),
-            "skipped": sum(status == "skipped" for status in statuses),
-            "mismatches": mismatches,
-            "no_convergence": unconverged,
-            "errors": errors,
-        },
+        "summary": summary,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -451,11 +461,7 @@ def _cmd_tables(args) -> int:
         if row.get("status") == "error":
             print(f"id {row['id']:2d}  error: {row['error']}")
             continue
-        bad = [
-            status
-            for status in _row_statuses(row)
-            if status not in ("match", "computed", "skipped")
-        ]
+        bad = [status for status in _row_statuses(row) if _STATUSES[status][1] != EXIT_OK]
         state = "ok" if not bad else ",".join(sorted(set(bad)))
         npa_bounds = row["npa_bounds"] if npa_levels else {}
         print(
@@ -466,19 +472,12 @@ def _cmd_tables(args) -> int:
             + "".join(f"  {level} {_npa_text(cell):>10}" for level, cell in npa_bounds.items())
             + f"  {state}"
         )
-    summary = report["summary"]
     print(
         f"{summary['matches']}/{summary['checks']} checks match"
         f"  ({summary['skipped']} skipped, {summary['mismatches']} mismatches,"
         f" {summary['no_convergence']} unconverged, {summary['errors']} errors)"
     )
-    if errors:
-        return EXIT_ERROR
-    if unconverged:
-        return EXIT_NO_CONVERGENCE
-    if mismatches:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return max((_STATUSES[status][1] for status in statuses), default=EXIT_OK)
 
 
 def _npa_text(cell: dict) -> str:
@@ -514,6 +513,14 @@ def _write_csv(path: str, ordered) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Option defaults are those of the solver parameters.
+    seesaw_options = argparse.ArgumentParser(add_help=False)
+    seesaw_options.add_argument("--restarts", type=int, default=SeesawParams.restarts)
+    seesaw_options.add_argument("--seed", type=int, default=SeesawParams.master_seed)
+    sdp_options = argparse.ArgumentParser(add_help=False)
+    sdp_options.add_argument("--tol", type=float, default=SdpParams.tolerance)
+    sdp_options.add_argument("--max-iterations", type=int, default=SdpParams.max_iterations)
+
     parser = _Parser(prog="tribell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -527,19 +534,17 @@ def build_parser() -> argparse.ArgumentParser:
     local.add_argument("target")
     local.set_defaults(func=_cmd_local)
 
-    qmax = sub.add_parser("qmax", help="seesaw quantum maximum for one inequality")
+    qmax = sub.add_parser("qmax", parents=[seesaw_options],
+                          help="seesaw quantum maximum for one inequality")
     qmax.add_argument("id")
-    qmax.add_argument("--restarts", type=int, default=200)
-    qmax.add_argument("--seed", type=int, default=0)
-    qmax.add_argument("--tol", type=float, default=1e-12)
+    qmax.add_argument("--tol", type=float, default=SeesawParams.convergence_tol)
     qmax.add_argument("--json", action="store_true")
     qmax.set_defaults(func=_cmd_qmax)
 
-    npa = sub.add_parser("npa", help="moment-matrix upper bound for an id or expression")
+    npa = sub.add_parser("npa", parents=[sdp_options],
+                         help="moment-matrix upper bound for an id or expression")
     npa.add_argument("target")
     npa.add_argument("--level", choices=sorted(_LEVEL_TOKENS), required=True)
-    npa.add_argument("--tol", type=float, default=1e-8)
-    npa.add_argument("--max-iterations", type=int, default=200000)
     npa.add_argument("--json", action="store_true")
     npa.set_defaults(func=_cmd_npa)
 
@@ -550,15 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--json", action="store_true")
     classify.set_defaults(func=_cmd_classify)
 
-    tables = sub.add_parser("tables", help="full reproduction report over all 46 rows")
+    tables = sub.add_parser("tables", parents=[seesaw_options, sdp_options],
+                            help="full reproduction report over all 46 rows")
     tables.add_argument("--out", help="write the JSON report here")
     tables.add_argument("--csv", help="write the flat per-id table here")
-    tables.add_argument("--restarts", type=int, default=200)
-    tables.add_argument("--seed", type=int, default=0)
     tables.add_argument("--npa", action="append", choices=sorted(_LEVEL_TOKENS),
                         help="also compute this moment-matrix level (repeatable)")
-    tables.add_argument("--tol", type=float, default=1e-8)
-    tables.add_argument("--max-iterations", type=int, default=200000)
     tables.set_defaults(func=_cmd_tables)
     return parser
 

@@ -11,16 +11,14 @@ objects so the reproduction suite can re-derive every published quantity.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
-from .bell_expr import catalog_entry
+from .bell_expr import CATALOG_IDS, catalog_entry, read_checked_table
 from .monotones import DEFAULT_CLASS_TOL
 from .qcore import (
     _PARTY_INDEX,
@@ -291,25 +289,13 @@ def _parse_row(line: str) -> FixtureRecord:
 @lru_cache(maxsize=1)
 def load_reference_table() -> tuple[FixtureRecord, ...]:
     """All 46 reference rows, ordered by id, checksum-verified."""
-    text = resources.files(__package__).joinpath(_TABLE_RESOURCE).read_text(encoding="utf-8")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    if digest != _TABLE_SHA256:
-        raise FixtureIntegrityError(
-            f"reference table checksum mismatch: expected {_TABLE_SHA256}, got {digest}"
-        )
-    records = [
-        _parse_row(line.strip())
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    if [record.id for record in records] != list(range(1, 47)):
-        raise FixtureIntegrityError("reference table must hold ids 1..46 in order")
-    return tuple(records)
+    return read_checked_table(_TABLE_RESOURCE, _TABLE_SHA256, "reference table",
+                              FixtureIntegrityError, _parse_row)
 
 
 def fixture_record(ident: int) -> FixtureRecord:
-    if not 1 <= ident <= 46:
-        raise KeyError(f"inequality id must be 1..46, got {ident}")
+    if ident not in CATALOG_IDS:
+        raise KeyError(f"inequality id must be {CATALOG_IDS[0]}..{CATALOG_IDS[-1]}, got {ident}")
     return load_reference_table()[ident - 1]
 
 

@@ -81,9 +81,6 @@ class Observable:
     def is_identity(self) -> bool:
         return self.vector is None
 
-    def matrix(self) -> np.ndarray:
-        return observable_matrix(self)
-
 
 PLUS_IDENTITY = Observable.identity(1)
 MINUS_IDENTITY = Observable.identity(-1)

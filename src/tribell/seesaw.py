@@ -72,6 +72,8 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
+# A slot whose gradient is shorter than this has no usable Bloch direction.
+_GRADIENT_TOL = 1e-14
 _MONOTONE_SLACK = 1e-9
 # Restart values that differ by rounding alone tie, relative to the scale of
 # the expression: the top eigenvalue of an 8x8 operator of norm up to the
@@ -135,7 +137,7 @@ def best_observable(expr: BellExpression, state: PureState, observables, slot: i
     tensor = expr.tensor().astype(float)
     response = slot_response(tensor, rows, correlations(state.amplitudes[None]), party)
     value = float(_update_settings(rows[:, party], response, slice(setting + 1, setting + 2))[0])
-    if np.linalg.norm(response[0, setting + 1]) < 1e-14:
+    if np.linalg.norm(response[0, setting + 1]) < _GRADIENT_TOL:
         return value, observables[slot]
     return value, _decode_observable(rows[0, party, setting + 1])
 
@@ -209,7 +211,7 @@ def _update_settings(party_rows, response, settings=slice(1, 3)):
     own = np.einsum("nsm,nsm->ns", rows, slots)
     plus, gradient = slots[:, :, 0], slots[:, :, 1:]
     gnorm = np.sqrt((gradient * gradient).sum(axis=2))
-    usable = gnorm >= 1e-14
+    usable = gnorm >= _GRADIENT_TOL
     keeps = ~usable & (rows[:, :, 0] == 0.0)
     bloch_value = np.where(usable, gnorm, np.where(keeps, own, -np.inf))
     take_bloch = bloch_value >= np.abs(plus) - _TIE_TOL

@@ -1,14 +1,17 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tribell.cli as cli
-from tribell.bell_expr import catalog_entry
+from tribell.bell_expr import catalog_entry, load_catalog
 from tribell.cli import main
+from tribell.fixtures import fixture_record
+from tribell.npa import SdpParams
 from tribell.qcore import Observable, PureState
-from tribell.seesaw import Solution
+from tribell.seesaw import SeesawParams, Solution
 
 
 def run(capsys, *argv):
@@ -61,6 +64,18 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
+
+
+def test_option_defaults_are_the_solver_defaults():
+    parser = cli.build_parser()
+    qmax, npa, tables = (parser.parse_args(argv) for argv in
+                         (["qmax", "1"], ["npa", "1", "--level", "aq"], ["tables"]))
+    seesaw, sdp = SeesawParams(), SdpParams()
+    assert (qmax.restarts, qmax.seed, qmax.tol) == (
+        seesaw.restarts, seesaw.master_seed, seesaw.convergence_tol)
+    assert (tables.restarts, tables.seed) == (seesaw.restarts, seesaw.master_seed)
+    for args in (npa, tables):
+        assert (args.tol, args.max_iterations) == (sdp.tolerance, sdp.max_iterations)
 
 
 def test_local_catalog_and_expression(capsys):
@@ -120,6 +135,21 @@ def test_classify_from_solution_document(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "43", "--solution", str(path))
     assert code == 0
     assert "class pair        (2, 4)" in out
+
+    # The printed value is computed from the state and measurements, not
+    # read from the document.
+    doc = json.loads(path.read_text())
+    expected = f"value {doc['value']:.9f}"
+    assert expected in out
+    for value in (None, 123.0):
+        if value is None:
+            del doc["value"]
+        else:
+            doc["value"] = value
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "classify", "43", "--solution", str(path))
+        assert code == 0
+        assert expected in out
 
 
 def test_classify_rejects_bad_solution_documents(capsys, tmp_path):
@@ -224,6 +254,34 @@ def test_tables_detects_mismatches(capsys, monkeypatch):
     code, out, _ = run(capsys, "tables", "--restarts", "2")
     assert code == 2
     assert "mismatch" in out
+
+
+def test_tables_exits_with_the_gravest_status(capsys, monkeypatch):
+    """An error outranks a mismatch (4), and an unconverged solve outranks
+    a mismatch (3)."""
+    state = PureState.from_vector(np.eye(8)[0])
+    fake = Solution(state=state,
+                    measurements=tuple(Observable.identity(1) for _ in range(6)),
+                    value=0.0, sweeps_used=0, restart_index=0)
+    ids = {entry.expression: entry.id for entry in load_catalog()}
+    failing = {17}
+
+    def seesaw(expr, params):
+        ident = ids[expr]
+        if ident in failing:
+            raise RuntimeError("seesaw state step decreased the value")
+        return replace(fake, value=fixture_record(ident).maximum + (1.0 if ident == 26 else 0.0))
+
+    monkeypatch.setattr(cli, "quantum_maximum", seesaw)
+    code, out, _ = run(capsys, "tables", "--restarts", "1")
+    assert code == cli.EXIT_ERROR
+    assert "1 mismatches, 0 unconverged, 1 errors" in out
+
+    failing.clear()
+    code, out, _ = run(capsys, "tables", "--restarts", "1", "--npa", "aq",
+                       "--max-iterations", "1")
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert "1 mismatches, 46 unconverged, 0 errors" in out
 
 
 def test_tables_contains_a_failing_row(capsys, tmp_path, monkeypatch):
