@@ -36,11 +36,7 @@ from .fixtures import (
     fixture_solution,
     load_reference_table,
 )
-from .monotones import (
-    DEFAULT_CLASS_TOL,
-    classify_incompatibility,
-    entanglement_profile,
-)
+from .monotones import DEFAULT_CLASS_TOL, nonlocality_class
 from .npa import LEVELS, SdpParams, npa_solve
 from .qcore import Observable, PureState, bell_operator, expectation
 from .seesaw import SeesawParams, Solution, quantum_maximum
@@ -168,9 +164,9 @@ def _solution_from_doc(doc: dict, expr: BellExpression) -> Solution:
                     sweeps_used=0, restart_index=0)
 
 
-def _classes_for(solution: Solution, ent_tol: float, inc_tol: float) -> dict:
-    profile = entanglement_profile(solution.state, tol=ent_tol)
-    inc = classify_incompatibility(solution.measurements, tol=inc_tol)
+def _classes_for(ident: int, solution: Solution, ent_tol: float, inc_tol: float) -> dict:
+    pair = nonlocality_class(ident, solution, ent_tol, inc_tol)
+    profile, inc = pair.entanglement, pair.incompatibility
     return {
         "negativity": profile.n_abc,
         "concurrences": [profile.c_ab, profile.c_ac, profile.c_bc],
@@ -225,7 +221,7 @@ def _cmd_qmax(args) -> int:
     params = _params(SeesawParams, restarts=args.restarts, convergence_tol=args.tol,
                      master_seed=args.seed)
     solution = quantum_maximum(catalog_entry(ident).expression, params)
-    classes = _classes_for(solution, DEFAULT_CLASS_TOL, DEFAULT_CLASS_TOL)
+    classes = _classes_for(ident, solution, DEFAULT_CLASS_TOL, DEFAULT_CLASS_TOL)
     if args.json:
         doc = _solution_doc(ident, solution, params)
         doc["classes"] = classes
@@ -317,7 +313,7 @@ def _cmd_classify(args) -> int:
             ent_tol = inc_tol = args.tol
         else:
             ent_tol, inc_tol = record.entanglement_tol, record.incompatibility_tol
-    classes = _classes_for(solution, ent_tol, inc_tol)
+    classes = _classes_for(ident, solution, ent_tol, inc_tol)
     if args.json:
         print(json.dumps({"schema": CLASSES_SCHEMA, "id": ident, **classes}, indent=2))
         return EXIT_OK
@@ -348,7 +344,7 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
     fixture = fixture_solution(ident)
     row["fixture_value"] = _check(fixture.value, record.maximum, FIXTURE_TOL[record.kind])
 
-    classes = _classes_for(fixture, record.entanglement_tol, record.incompatibility_tol)
+    classes = _classes_for(ident, fixture, record.entanglement_tol, record.incompatibility_tol)
     expected = record.profile
     row["profile"] = {
         "negativity": _check(classes["negativity"], expected.negativity, PROFILE_TOL),

@@ -65,8 +65,19 @@ class IncompatibilityProfile:
 
 @dataclass(frozen=True)
 class NonlocalityClass:
-    entanglement_class: int
-    incompatibility_class: int
+    """A solution's entanglement and incompatibility profiles; their class
+    ids are its class pair."""
+
+    entanglement: EntanglementProfile
+    incompatibility: IncompatibilityProfile
+
+    @property
+    def entanglement_class(self) -> int:
+        return self.entanglement.class_id
+
+    @property
+    def incompatibility_class(self) -> int:
+        return self.incompatibility.class_id
 
 
 def _clip_unit(value: float, slack: float = 1e-9) -> float:
@@ -225,15 +236,22 @@ def classify_incompatibility(meas, tol: float = DEFAULT_CLASS_TOL) -> Incompatib
     return IncompatibilityProfile(i_a, i_b, i_c, _incompatibility_class((i_a, i_b, i_c), tol))
 
 
-def nonlocality_class(expr_id: int, solution, tol: float = DEFAULT_CLASS_TOL) -> NonlocalityClass:
-    """Entanglement and incompatibility classes of a maximizing solution.
+def nonlocality_class(
+    expr_id: int, solution, tol: float = DEFAULT_CLASS_TOL,
+    incompatibility_tol: float | None = None,
+) -> NonlocalityClass:
+    """Entanglement and incompatibility profiles of a maximizing solution.
 
-    ``expr_id`` only labels error messages; the classification depends on
-    the solution's state and measurements alone.
+    ``tol`` classifies the state and, unless ``incompatibility_tol`` is
+    given, the measurements too. ``expr_id`` only labels error messages;
+    the classification depends on the solution's state and measurements
+    alone.
     """
+    if incompatibility_tol is None:
+        incompatibility_tol = tol
     try:
         ent = entanglement_profile(solution.state, tol)
     except ValueError as exc:
         raise ValueError(f"inequality {expr_id}: {exc}") from None
-    inc = classify_incompatibility(solution.measurements, tol)
-    return NonlocalityClass(ent.class_id, inc.class_id)
+    inc = classify_incompatibility(solution.measurements, incompatibility_tol)
+    return NonlocalityClass(ent, inc)

@@ -202,8 +202,12 @@ def bell_operators(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
     are real symmetric: they are built in real arithmetic and are float64.
     Otherwise they are complex Hermitian.
     """
-    opened = _open_party(tensor, rows, 0).reshape(-1, 3, 16)
-    weights = (rows[:, 0].swapaxes(1, 2) @ opened).reshape(-1, 4, 4, 4)
+    return _operators(_open_party(tensor, rows, 0), rows)
+
+
+def _operators(opened: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``bell_operators`` from party A's ``_open_party`` contraction."""
+    weights = (rows[:, 0].swapaxes(1, 2) @ opened.reshape(-1, 3, 16)).reshape(-1, 4, 4, 4)
     entries = _PAULI_ENTRIES if np.any(rows[..., 2]) else _REAL_ENTRIES
     pairs = _per_qubit(weights, entries).reshape((-1,) + (2,) * 6)
     return pairs.transpose(_FROM_PAIRS).reshape(-1, 8, 8)
@@ -232,9 +236,13 @@ def slot_response(tensor: np.ndarray, rows: np.ndarray, corr: np.ndarray,
     +identity, components 1..3 its gradient. The response does not depend
     on the party's own rows.
     """
-    opened = _open_party(tensor, rows, party).reshape(-1, 3, 16)
+    return _response(_open_party(tensor, rows, party), corr, party)
+
+
+def _response(opened: np.ndarray, corr: np.ndarray, party: int) -> np.ndarray:
+    """``slot_response`` from the party's ``_open_party`` contraction."""
     moved = corr.transpose(_BATCH_PARTY_FIRST[party]).reshape(-1, 4, 16)
-    return opened @ moved.swapaxes(1, 2)
+    return opened.reshape(-1, 3, 16) @ moved.swapaxes(1, 2)
 
 
 def bell_operator(expr, observables) -> np.ndarray:

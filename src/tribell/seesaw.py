@@ -53,6 +53,9 @@ from .bell_expr import BellExpression
 from .qcore import (
     Observable,
     PureState,
+    _open_party,
+    _operators,
+    _response,
     bell_operator,
     bell_operators,
     correlations,
@@ -267,10 +270,16 @@ def _draws(entropy, spawn_keys):
     return start, rows, gauged
 
 
-def _state_step(tensor, rows):
+def _state_step(tensor, rows, opened=None):
     """Top eigenvalues and eigenvectors of a batch's Bell operators, each
-    vector's largest-magnitude amplitude made real and positive."""
-    eigvals, eigvecs = np.linalg.eigh(bell_operators(tensor, rows))
+    vector's largest-magnitude amplitude made real and positive.
+
+    ``opened`` is party A's ``_open_party`` contraction of the rows, when
+    the caller has it already.
+    """
+    if opened is None:
+        opened = _open_party(tensor, rows, 0)
+    eigvals, eigvecs = np.linalg.eigh(_operators(opened, rows))
     states = eigvecs[:, :, -1]
     lead = states[np.arange(len(states)), np.argmax(np.abs(states), axis=1)]
     return eigvals[:, -1], states * (np.abs(lead) / lead)[:, None]
@@ -293,14 +302,19 @@ def _run_batch(tensor, draws, params, keep_trace):
     for sweep in range(1, params.max_sweeps + 1):
         before = live_values
         # State step: the rows are x-z, so the operators and states are real.
-        live_values, psi = _state_step(tensor, live_rows)
+        # It leaves the rows alone, so party A's contraction serves its
+        # observable step too.
+        opened = _open_party(tensor, live_rows, 0)
+        live_values, psi = _state_step(tensor, live_rows, opened)
         if (live_values < before - slack).any():
             raise RuntimeError("seesaw state step decreased the value")
         corr = correlations(psi)
 
         # Observable steps, both settings of a party at once.
         for party in range(3):
-            response = slot_response(tensor, live_rows, corr, party)
+            if party:
+                opened = _open_party(tensor, live_rows, party)
+            response = _response(opened, corr, party)
             previous, live_values = live_values, _update_settings(live_rows[:, party], response)
             if (live_values < previous - slack).any():
                 raise RuntimeError("seesaw observable step decreased the value")

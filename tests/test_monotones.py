@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribell.fixtures import fixture_solution
+from tribell.fixtures import fixture_record, fixture_solution
 from tribell.monotones import (
     DEFAULT_CLASS_TOL,
     bipartite_negativity,
@@ -167,3 +167,20 @@ def test_nonlocality_class_known_pairs():
     assert (pair.entanglement_class, pair.incompatibility_class) == (5, 11)
     pair = nonlocality_class(43, fixture_solution(43))
     assert (pair.entanglement_class, pair.incompatibility_class) == (2, 4)
+
+
+def test_nonlocality_class_tolerances_and_error_label():
+    solution = fixture_solution(26)
+    pair = nonlocality_class(26, solution, tol=1e-3, incompatibility_tol=1e-6)
+    assert pair.entanglement == entanglement_profile(solution.state, 1e-3)
+    assert pair.incompatibility == classify_incompatibility(solution.measurements, 1e-6)
+    with pytest.raises(ValueError, match="^inequality 26: tol must be positive"):
+        nonlocality_class(26, solution, tol=0.0)
+
+
+def test_fixture_class_pairs():
+    """The class pair of each published optimum is its published pair."""
+    for ident in (2, 3, 26, 43):
+        pair = nonlocality_class(ident, fixture_solution(ident))
+        assert (pair.entanglement_class, pair.incompatibility_class) == (
+            fixture_record(ident).class_pair)
