@@ -52,6 +52,9 @@ NPA_SCHEMA = "tribell.npa/1"
 CLASSES_SCHEMA = "tribell.classes/1"
 REPORT_SCHEMA = "tribell.report/1"
 
+# The observables' labels in strategy and measurement order.
+_OBSERVABLE_LABELS = ("A", "a", "B", "b", "C", "c")
+
 # Each level's command-line token: lower case without "+", e.g. "1ab" for 1+AB.
 _LEVEL_TOKENS = {level.lower().replace("+", ""): level for level in LEVELS}
 
@@ -209,8 +212,7 @@ def _cmd_show(args) -> int:
 def _cmd_local(args) -> int:
     _, expr = _parse_target(args.target)
     bound, strategy = local_bound(expr)
-    labels = ("A", "a", "B", "b", "C", "c")
-    witness = "  ".join(f"{k}={v:+d}" for k, v in zip(labels, strategy))
+    witness = "  ".join(f"{k}={v:+d}" for k, v in zip(_OBSERVABLE_LABELS, strategy))
     print(f"local bound  {bound}")
     print(f"strategy     {witness}")
     return EXIT_OK
@@ -233,8 +235,7 @@ def _cmd_qmax(args) -> int:
     for amplitude in solution.state.amplitudes:
         print(f"  {amplitude.real:+.9f} {amplitude.imag:+.9f}i")
     print("measurements:")
-    labels = ("A", "a", "B", "b", "C", "c")
-    for label, obs in zip(labels, solution.measurements):
+    for label, obs in zip(_OBSERVABLE_LABELS, solution.measurements):
         if obs.is_identity:
             print(f"  {label}: identity ({obs.sign:+d})")
         else:

@@ -4,8 +4,11 @@ A word is a product of +-1 observables, one symbol per factor, where
 symbol (party, setting) is that party's observable for that setting.
 Observables of distinct parties commute and each squares to the identity
 (A^2 = 1), which gives every word the canonical form computed by
-``canonicalize_word``. The moment matrix Gamma is indexed by a level's
-word list and cell (u, v) holds the moment of canonical(reverse(u) v);
+``canonicalize_word``. A level is a (length, run) pair: its words are
+the canonical words of at most ``length`` symbols with at most ``run``
+symbols per party. Level Qk of the hierarchy (Navascues, Pironio & Acin,
+NJP 10, 073013, 2008) is (k, k); 1+AB and AQ have run 1. The moment
+matrix Gamma is indexed by a level's word list and cell (u, v) holds the moment of canonical(reverse(u) v);
 cells sharing a canonical word form an equality class, and every
 diagonal cell is in the identity class, so Gamma has a unit diagonal.
 Moments of a word and its reverse agree for the optimal value, so both
@@ -58,7 +61,9 @@ __all__ = [
 
 Word = tuple[tuple[int, int], ...]
 
-LEVELS = ("Q1", "1+AB", "AQ", "Q2")
+# Each level's (length, run) shape; see the module docstring.
+_LEVEL_SHAPES = {"Q1": (1, 1), "1+AB": (2, 1), "AQ": (3, 1), "Q2": (2, 2)}
+LEVELS = tuple(_LEVEL_SHAPES)
 
 
 def _check_word(word) -> Word:
@@ -89,35 +94,28 @@ def _class_representative(word: Word) -> Word:
 def generate_words(level: str) -> list[Word]:
     """Canonical word list of a level, identity first.
 
-    Q1 is the identity and the six single observables; 1+AB adds the
-    twelve cross-party pairs; AQ adds the eight one-per-party triples;
-    Q2 instead adds to Q1 all length-2 canonical words (cross-party
-    pairs plus, per party, both orders of its two settings). Each list
-    is closed under subwords; with A^2 = 1 Gamma's diagonal is the identity.
+    Each word is a product, over the parties in order, of one alternating
+    string (p, s)(p, 3 - s)... of at most ``run`` symbols per party, with
+    at most ``length`` symbols in all; words sort by length, then most
+    parties first, then parties, then settings. Q1 has 7 words, 1+AB 19,
+    AQ 27 and Q2 25. Each list is closed under subwords; with A^2 = 1
+    Gamma's diagonal is the identity.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
-    singles: list[Word] = [((p, s),) for p in (1, 2, 3) for s in (1, 2)]
-    cross_pairs: list[Word] = [
-        ((p, s), (q, t))
-        for p, q in ((1, 2), (1, 3), (2, 3))
-        for s, t in product((1, 2), repeat=2)
+    length, run = _LEVEL_SHAPES[level]
+    strings = [
+        [()] + [tuple((p, (s, 3 - s)[i % 2]) for i in range(k))
+                for s in (1, 2) for k in range(1, run + 1)]
+        for p in (1, 2, 3)
     ]
-    words: list[Word] = [()]
-    words += singles
-    if level == "Q1":
-        return words
-    if level == "Q2":
-        same_pairs: list[Word] = [
-            ((p, s), (p, 3 - s)) for p in (1, 2, 3) for s in (1, 2)
-        ]
-        return words + cross_pairs + same_pairs
-    words += cross_pairs
-    if level == "AQ":
-        words += [
-            ((1, s), (2, t), (3, u)) for s, t, u in product((1, 2), repeat=3)
-        ]
-    return words
+    words = [a + b + c for a, b, c in product(*strings) if len(a + b + c) <= length]
+
+    def key(word: Word):
+        parties = tuple(p for p, _ in word)
+        return len(word), -len(set(parties)), parties, tuple(s for _, s in word)
+
+    return sorted(words, key=key)
 
 
 @dataclass(frozen=True)
@@ -324,7 +322,6 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     f_ok = t_ok - z_ok
     f_norm_ok = _norm(f_ok)
     v = t_ok
-    extrapolated = False
     primal = dual = np.inf
     iteration = penalty_updates = rejected_steps = 0
     for iteration in range(1, params.max_iterations + 1):
@@ -354,11 +351,11 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
         f = t - v
         f_norm = _norm(f)
         if f_ok is not None:
-            if extrapolated and f_norm > f_norm_ok:
+            # A stored pair means the current point was extrapolated.
+            if pushed and f_norm > f_norm_ok:
                 rejected_steps += 1
                 pushed = 0
                 v = t_ok
-                extrapolated = False
                 continue
             row = pushed % memory
             delta_f[row] = (f - f_ok).ravel()
@@ -367,8 +364,7 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
         x_ok, z_ok, t_ok, f_ok, f_norm_ok = x, z, t, f, f_norm
         v = t
         stored = min(pushed, memory)
-        extrapolated = stored > 0
-        if extrapolated:
+        if stored:
             # A stored pair means one was just written, to ``row``.
             df = delta_f[:stored]
             gram[row, :stored] = gram[:stored, row] = df @ df[row]

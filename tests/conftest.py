@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tribell.bell_expr import catalog_entry
+from tribell.bell_expr import CATALOG_IDS, catalog_entry
 from tribell.npa import SdpParams
 from tribell.seesaw import SeesawParams, quantum_maximum
 
@@ -14,8 +14,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
-
-CATALOG_IDS = range(1, 47)
 
 # Closed-form quantum maxima quoted directly in the acceptance list.
 CLOSED_FORM = {

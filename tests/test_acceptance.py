@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tribell.bell_expr import (
+    CATALOG_IDS,
     BellExpression,
     catalog_entry,
     format_expression,
@@ -32,7 +33,7 @@ from tribell.npa import npa_upper_bound
 from tribell.qcore import PureState, partial_transpose
 from tribell.seesaw import SeesawParams, evaluate_solution, quantum_maximum, seesaw_run
 
-from conftest import CATALOG_IDS, CERTIFY_SDP, CLOSED_FORM
+from conftest import CERTIFY_SDP, CLOSED_FORM
 
 
 def test_criterion_1_local_bounds_exact_and_fast():

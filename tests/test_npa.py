@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -34,11 +35,25 @@ symbols = st.tuples(st.sampled_from((1, 2, 3)), st.sampled_from((1, 2)))
 words = st.lists(symbols, max_size=6).map(tuple)
 
 
+# SHA-256 of repr(generate_words(level)): each level's word list, content
+# and order, as the hand-written lists gave it. Gamma's layout, and so every
+# iterate of a solve, follows this order.
+WORD_LIST_SHA256 = {
+    "Q1": "7498fc7179ebb6233eecc6a8256221d5ffefd4b3f5870d41d10ff728cad6f9eb",
+    "1+AB": "2b81cf08296efb5468ec00e3e39a611de2b3d6b5b02d07d0baf7e64f02dff676",
+    "AQ": "1b8711ac22a8368d74434196f3a874b4fb728ef07e4c0106d5241af160b67d36",
+    "Q2": "b05cbbfe9969e1bf86ac435357bb9c6d6634f09235ecc0e00f62662b3ca8483e",
+}
+
+
 def test_level_sizes_and_identity_first():
     sizes = {"Q1": 7, "1+AB": 19, "AQ": 27, "Q2": 25}
+    assert tuple(sizes) == LEVELS
     for level in LEVELS:
         generated = generate_words(level)
         assert len(generated) == sizes[level]
+        digest = hashlib.sha256(repr(generated).encode()).hexdigest()
+        assert digest == WORD_LIST_SHA256[level], level
         assert generated[0] == ()
         assert len(set(generated)) == len(generated)
         for word in generated:
@@ -47,7 +62,7 @@ def test_level_sizes_and_identity_first():
 
 def test_generate_words_rejects_unknown_level():
     with pytest.raises(ValueError):
-        generate_words("Q3")
+        generate_words("no such level")
 
 
 def test_canonicalize_examples():
