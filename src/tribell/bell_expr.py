@@ -14,6 +14,7 @@ Sliwa's enumeration together with their local maxima.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,6 +78,8 @@ class BellExpression:
             term = tuple(term)
             if len(term) != 3 or any(t not in (0, 1, 2) for t in term):
                 raise ValueError(f"bad term index {term!r}")
+            if not isinstance(coeff, numbers.Integral) and not float(coeff).is_integer():
+                raise ValueError(f"coefficient {coeff!r} of term {term!r} is not an integer")
             coeff = int(coeff)
             if coeff != 0:
                 clean[term] = clean.get(term, 0) + coeff

@@ -154,11 +154,10 @@ def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams | 
 def _solution_from_doc(doc: dict, expr: BellExpression) -> Solution:
     """The state and measurements of a solution document, with their value on
     ``expr``; the document's own value and statistics are not read."""
-    state = PureState.from_vector(
-        np.array(doc["state"]["re"], dtype=float)
-        + 1j * np.array(doc["state"]["im"], dtype=float),
-        normalize=True,
-    )
+    real, imag = (np.array(doc["state"][part], dtype=float) for part in ("re", "im"))
+    if real.shape != (8,) or imag.shape != (8,):
+        raise ValueError("state needs two flat lists of 8 numbers, re and im")
+    state = PureState.from_vector(real + 1j * imag, normalize=True)
     measurements = tuple(_observable_from_doc(d) for d in doc["measurements"])
     if len(measurements) != 6:
         raise UsageError("solution document needs exactly 6 measurements")

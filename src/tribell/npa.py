@@ -27,9 +27,10 @@ updated in place, one row and column per new residual, so a memory slot
 costs one matrix-vector product per iteration. The words and class
 structure of a level do not depend on the expression: they are built on
 first use, once per level, and every problem at that level shares the
-same read-only arrays. The reported bound is the objective
-plus a safety margin of 10 max(tolerance, residuals) times the 1-norm of
-the objective coefficients. The margin is a heuristic, not a
+same read-only arrays. A problem is its level's structure plus one
+objective weight per class and a constant. The reported bound is the
+objective plus a safety margin of 10 max(tolerance, residuals) times the
+1-norm of the objective weights. The margin is a heuristic, not a
 weak-duality certificate.
 """
 
@@ -123,14 +124,13 @@ class _LevelStructure:
     """The moment-matrix structure of one level, shared by every
     objective at that level.
 
-    ``classes`` maps each class representative to its cells (row-major
-    indices into Gamma) and ``class_index`` to its position in the sorted
-    order of representatives; ``cell_class`` gives each cell's position
-    and ``counts`` each class's number of cells. The arrays are read-only.
+    ``class_index`` numbers the sorted class representatives,
+    ``cell_class`` gives each cell's class number (cells are row-major
+    indices into Gamma) and ``counts`` each class's number of cells. The
+    arrays are read-only.
     """
 
     words: tuple[Word, ...]
-    classes: Mapping[Word, tuple[int, ...]]
     class_index: Mapping[Word, int]
     cell_class: np.ndarray
     counts: np.ndarray
@@ -139,40 +139,33 @@ class _LevelStructure:
 @functools.lru_cache(maxsize=None)
 def _level_structure(level: str) -> _LevelStructure:
     words = tuple(generate_words(level))
-    classes: dict[Word, list[int]] = {}
-    n = len(words)
-    for i, u in enumerate(words):
-        ru = tuple(reversed(u))
-        for j, v in enumerate(words):
-            rep = _class_representative(canonicalize_word(ru + v))
-            classes.setdefault(rep, []).append(i * n + j)
-    class_index = {rep: k for k, rep in enumerate(sorted(classes))}
-    cell_class = np.empty(n * n, dtype=np.intp)
-    for rep, cells in classes.items():
-        cell_class[cells] = class_index[rep]
-    counts = np.bincount(cell_class, minlength=len(classes)).astype(float)
+    reps = [_class_representative(canonicalize_word(u[::-1] + v))
+            for u in words for v in words]
+    class_index = {rep: k for k, rep in enumerate(sorted(set(reps)))}
+    cell_class = np.array([class_index[rep] for rep in reps], dtype=np.intp)
+    counts = np.bincount(cell_class).astype(float)
     for array in (cell_class, counts):
         array.flags.writeable = False
     return _LevelStructure(
         words=words,
-        classes=MappingProxyType({rep: tuple(cells) for rep, cells in classes.items()}),
         class_index=MappingProxyType(class_index),
         cell_class=cell_class,
         counts=counts,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentProblem:
-    words: tuple[Word, ...]
-    classes: Mapping[Word, tuple[int, ...]]
-    objective: dict[Word, float]
+    """A level's shared structure, the objective's weight on each class
+    (indexed by ``structure.class_index``; read-only) and a constant."""
+
+    structure: _LevelStructure = field(repr=False)
+    weights: np.ndarray
     constant: float
-    structure: _LevelStructure = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.structure.words)
 
 
 # ADMM over-relaxation factor, in (0, 2), and the starting penalty rho,
@@ -226,28 +219,25 @@ def build_moment_problem(expr: BellExpression, level: str) -> MomentProblem:
     matrix cell, i.e. the level cannot express the objective.
     """
     structure = _level_structure(level)
-    # A correlator term is the moment of its one-per-party word.
-    objective: dict[Word, float] = {}
+    weights = np.zeros(len(structure.counts))
     constant = 0.0
+    unreachable = []
     for term, coeff in expr.coeffs.items():
+        # A correlator term is the moment of its one-per-party word, which
+        # is its own class representative.
         word = tuple((party, t) for party, t in enumerate(term, start=1) if t)
-        if word:
-            objective[word] = float(coeff)
-        else:
+        if not word:
             constant = float(coeff)
-
-    unreachable = sorted(word for word in objective if word not in structure.classes)
+        elif word in structure.class_index:
+            weights[structure.class_index[word]] = coeff
+        else:
+            unreachable.append(word)
     if unreachable:
         raise ValueError(
-            f"objective words unreachable at level {level}: {unreachable}"
+            f"objective words unreachable at level {level}: {sorted(unreachable)}"
         )
-    return MomentProblem(
-        words=structure.words,
-        classes=structure.classes,
-        objective=objective,
-        constant=constant,
-        structure=structure,
-    )
+    weights.flags.writeable = False
+    return MomentProblem(structure, weights, constant)
 
 
 def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> SdpSolution:
@@ -285,9 +275,7 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     n_classes = len(counts)
     identity = structure.class_index[()]
 
-    weights = np.zeros(n_classes)
-    for word, coeff in problem.objective.items():
-        weights[structure.class_index[word]] = coeff
+    weights = problem.weights
     c = (weights / counts)[cell_class].reshape(n, n)
 
     def class_means(m: np.ndarray) -> np.ndarray:
@@ -399,7 +387,7 @@ def _norm(m: np.ndarray) -> float:
 
 
 def _margin(problem: MomentProblem, residual: float) -> float:
-    return 10.0 * residual * sum(abs(w) for w in problem.objective.values())
+    return 10.0 * residual * float(np.abs(problem.weights).sum())
 
 
 def rigor_margin(problem: MomentProblem, solution: SdpSolution) -> float:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,19 @@ def test_parse_bare_integer_is_a_constant_term():
 
 def test_format_of_empty_expression():
     assert format_expression(BellExpression({})) == "0"
+
+
+@pytest.mark.parametrize("coeff", [1.5, 0.4, -2.5, float("inf"), float("nan"), np.float64(0.5)])
+def test_expression_rejects_non_integer_coefficients(coeff):
+    with pytest.raises(ValueError, match="not an integer"):
+        BellExpression({(1, 1, 0): coeff})
+
+
+def test_expression_accepts_integer_values_of_any_type():
+    for coeff in (2, 2.0, np.int64(2), np.float64(2.0), np.int8(2)):
+        expr = BellExpression({(1, 1, 0): coeff})
+        assert dict(expr.coeffs) == {(1, 1, 0): 2}
+        assert type(expr.coefficient((1, 1, 0))) is int
 
 
 def test_catalog_round_trip():

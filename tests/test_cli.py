@@ -168,6 +168,9 @@ def test_classify_rejects_bad_solution_documents(capsys, tmp_path):
     pytest.param(lambda doc: doc.pop("state"), id="no-state"),
     pytest.param(lambda doc: doc["state"].update(re=[0.5] * 7, im=[0.0] * 7),
                  id="seven-amplitudes"),
+    pytest.param(lambda doc: doc["state"].update(im=[0.0]), id="one-imaginary-part"),
+    pytest.param(lambda doc: doc["state"].update(re=[doc["state"]["re"]], im=0.0),
+                 id="nested-re-scalar-im"),
     pytest.param(lambda doc: doc["measurements"][0].update(vector=[0.0, 0.0, 0.0]),
                  id="zero-bloch-vector"),
     pytest.param(lambda doc: doc["state"]["re"].__setitem__(0, float("nan")),
@@ -232,7 +235,9 @@ def test_tables_full_run(capsys, tmp_path):
             matches = abs(cell["value"] - cell["expected"]) <= cell["tolerance"]
             assert cell["status"] == ("match" if matches else "mismatch")
         assert row["npa_bounds"] == {"status": "skipped"}
-    assert report["summary"]["mismatches"] == 0
+    # 46 rows of 12 checks, the npa cell skipped in each.
+    assert report["summary"] == {"checks": 552, "matches": 506, "skipped": 46, "mismatches": 0,
+                                 "no_convergence": 0, "errors": 0}
     seventeen = cli.quantum_maximum(catalog_entry(17).expression, cli.SeesawParams(restarts=40))
     cell = report["rows"][16]["seesaw_value"]
     assert cell["capped_restarts"] == seventeen.capped_restarts

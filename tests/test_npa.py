@@ -104,7 +104,11 @@ def test_canonicalize_keeps_symbol_parity(word):
 
 def test_objective_reads_correlator_coefficients():
     problem = build_moment_problem(parse_expression("2 + AB - abC"), "AQ")
-    assert problem.objective == {((1, 1), (2, 1)): 1, ((1, 2), (2, 2), (3, 1)): -1}
+    index = problem.structure.class_index
+    expected = np.zeros(len(index))
+    expected[index[((1, 1), (2, 1))]] = 1
+    expected[index[((1, 2), (2, 2), (3, 1))]] = -1
+    assert np.array_equal(problem.weights, expected)
     assert problem.constant == 2
 
 
@@ -112,40 +116,36 @@ def test_diagonal_cells_are_identity_at_every_level():
     for level in LEVELS:
         problem = build_moment_problem(CHSH, level)
         n = problem.size
-        diagonal = {i * n + i for i in range(n)}
-        assert diagonal <= set(problem.classes[()]), level
+        diagonal = problem.structure.cell_class.reshape(n, n).diagonal()
+        assert np.all(diagonal == problem.structure.class_index[()]), level
 
 
 def test_moment_problem_cells_follow_word_algebra():
     problem = build_moment_problem(CHSH, "Q1")
+    structure = problem.structure
     n = problem.size
-    seen = np.zeros(n * n, dtype=int)
-    for rep, cells in problem.classes.items():
+    reps = sorted(structure.class_index, key=structure.class_index.get)
+    assert reps == sorted(reps)
+    assert np.array_equal(structure.counts, np.bincount(structure.cell_class))
+    for rep in reps:
         assert canonicalize_word(rep) == rep
-        for cell in cells:
-            seen[cell] += 1
-            i, j = divmod(cell, n)
-            u, v = problem.words[i], problem.words[j]
-            word = canonicalize_word(tuple(reversed(u)) + v)
-            reverse = canonicalize_word(tuple(reversed(word)))
-            assert rep == min(word, reverse)
-    assert np.all(seen == 1)
+    for cell, k in enumerate(structure.cell_class):
+        i, j = divmod(cell, n)
+        u, v = structure.words[i], structure.words[j]
+        word = canonicalize_word(tuple(reversed(u)) + v)
+        reverse = canonicalize_word(tuple(reversed(word)))
+        assert reps[k] == min(word, reverse)
 
 
 def test_moment_problem_is_symmetric():
     problem = build_moment_problem(MERMIN, "AQ")
     n = problem.size
-    cell_to_rep = {}
-    for rep, cells in problem.classes.items():
-        for cell in cells:
-            cell_to_rep[cell] = rep
-    for i in range(n):
-        for j in range(n):
-            assert cell_to_rep[i * n + j] == cell_to_rep[j * n + i]
+    cell_class = problem.structure.cell_class.reshape(n, n)
+    assert np.array_equal(cell_class, cell_class.T)
 
 
 def test_moment_problem_objective_reachability():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unreachable at level Q1: \[\(\(1, 1\), \(2, 1\), \(3, 1\)\)"):
         build_moment_problem(MERMIN, "Q1")
     build_moment_problem(MERMIN, "1+AB")  # fine
     build_moment_problem(CHSH, "Q1")  # bipartite fits the lowest level
@@ -238,14 +238,11 @@ def test_slowest_certification_solves_converge_quickly(ident, level):
 def test_level_structure_is_shared_and_read_only():
     chsh, mermin = build_moment_problem(CHSH, "AQ"), build_moment_problem(MERMIN, "AQ")
     assert chsh.structure is mermin.structure
-    assert chsh.classes is mermin.classes and chsh.words is mermin.words
     assert build_moment_problem(CHSH, "1+AB").structure is not chsh.structure
     structure = chsh.structure
-    for array in (structure.cell_class, structure.counts):
+    for array in (structure.cell_class, structure.counts, chsh.weights):
         with pytest.raises(ValueError):
             array[0] = 0
-    with pytest.raises(TypeError):
-        structure.classes[()] = ()
     with pytest.raises(TypeError):
         structure.class_index[()] = 0
 
@@ -262,7 +259,7 @@ def test_import_builds_no_level():
 
 def test_rigor_margin_is_floored_at_the_tolerance():
     problem = build_moment_problem(MERMIN, "1+AB")
-    coefficient_norm = sum(abs(w) for w in problem.objective.values())
+    coefficient_norm = sum(abs(c) for term, c in MERMIN.coeffs.items() if any(term))
     solution = sdp_maximize(problem, QUICK_SDP)
     assert solution.status == "converged"
     assert max(solution.primal_residual, solution.dual_residual) < QUICK_SDP.tolerance
