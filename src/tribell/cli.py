@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -289,8 +290,8 @@ def _npa_counts(solution) -> dict:
 
 def _cmd_classify(args) -> int:
     ident = _parse_ident(args.id)
-    if args.tol is not None and not args.tol > 0.0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     if args.solution:
         try:
             with open(args.solution, "r", encoding="utf-8") as handle:

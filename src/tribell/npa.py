@@ -19,12 +19,15 @@ iteration that alternates projection onto the affine class structure
 with projection onto the positive-semidefinite cone. Its state is one
 symmetric matrix whose positive part is the PSD iterate and whose
 negative part is the scaled dual, so an iteration costs one
-eigendecomposition. Safeguarded type-II Anderson acceleration
-extrapolates that state from the last 25 fixed-point residuals, which
-removes most of ADMM's slow linear tail; an extrapolation that does not
-shrink the residual is thrown away. The residuals' Gram matrix is
-updated in place, one row and column per new residual, so a memory slot
-costs one matrix-vector product per iteration. The words and class
+eigendecomposition, which runs with OpenBLAS held at one thread.
+Safeguarded type-II Anderson acceleration extrapolates that state from
+the last 60 fixed-point residuals, which removes most of ADMM's slow
+linear tail: the 138 catalog solves (46 ids at 1+AB, AQ and Q2) take
+17,518 iterations with this memory, against 19,071 with 40 and 22,592
+with 25. An extrapolation that does not shrink the residual is thrown
+away. The residuals' Gram matrix is updated in place, one row and
+column per new residual, so a memory slot costs one matrix-vector
+product per iteration. The words and class
 structure of a level do not depend on the expression: they are built on
 first use, once per level, and every problem at that level shares the
 same read-only arrays. A problem is its level's structure plus one
@@ -36,8 +39,12 @@ weak-duality certificate.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
@@ -174,9 +181,10 @@ _OVER_RELAXATION = 1.5
 _INITIAL_PENALTY = 1.0
 # Anderson acceleration mixes this many past fixed-point residuals; its
 # normal equations get a Tikhonov term of this weight times their trace.
-# Over the 138 catalog solves (46 ids at 1+AB, AQ and Q2) memories of 10,
-# 15, 20 and 25 took 32,868, 28,149, 25,102 and 22,592 iterations.
-_ANDERSON_MEMORY = 25
+# Over the 138 catalog solves (46 ids at 1+AB, AQ and Q2, default
+# SdpParams) memories of 10, 15, 20, 25, 40 and 60 took 32,868, 28,149,
+# 25,102, 22,592, 19,071 and 17,518 iterations, and every solve converged.
+_ANDERSON_MEMORY = 60
 _ANDERSON_REGULARIZATION = 1e-12
 
 
@@ -188,8 +196,8 @@ class SdpParams:
 
     def __post_init__(self):
         # Written so that NaN fails too.
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
         if self.max_iterations < 1 or self.adapt_interval < 1:
             raise ValueError("max_iterations and adapt_interval must be positive")
 
@@ -240,6 +248,84 @@ def build_moment_problem(expr: BellExpression, level: str) -> MomentProblem:
     return MomentProblem(structure, weights, constant)
 
 
+# (get, set) thread-count symbols of OpenBLAS builds: the scipy-openblas
+# wheel numpy 2 ships, the ILP64 build of numpy 1 wheels, a system build.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    has loaded, or None where none is found (another BLAS, or a system
+    without ``/proc/self/maps``). Looked up on first use, never at import."""
+    try:
+        # surrogateescape keeps any file name, decodable or not, and
+        # hands it back to dlopen unchanged.
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            # A mapping's sixth field, when present, is the mapped file.
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = {f[5].strip() for f in fields
+             if len(f) == 6 and "blas" in os.path.basename(f[5]).lower()}
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager, and decorator, that holds OpenBLAS at one thread
+    and then restores the earlier count.
+
+    The moment matrices are at most 27 wide, and a threaded ``eigh`` of
+    that size gains no wall time: it spends CPU time on a second thread
+    and can stall for milliseconds per call. The count is process-wide,
+    so nested and concurrent holds share one: the first to enter saves
+    the count and the last to leave restores it. Without OpenBLAS it
+    does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holds = 0
+        self._previous = 0
+
+    def __enter__(self):
+        threads = _openblas_threads()
+        if threads is not None:
+            get, set_ = threads
+            with self._lock:
+                if not self._holds:
+                    self._previous = get()
+                    set_(1)
+                self._holds += 1
+
+    def __exit__(self, *exc_info):
+        threads = _openblas_threads()
+        if threads is not None:
+            with self._lock:
+                self._holds -= 1
+                if not self._holds:
+                    threads[1](self._previous)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+@_one_blas_thread
 def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> SdpSolution:
     """Maximize the objective over PSD moment matrices by accelerated ADMM.
 
@@ -252,7 +338,7 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
         T(V) = alpha X + (1 - alpha) Z + U,  X = affine projection of Z - U + C / rho.
 
     Type-II Anderson acceleration extrapolates V from the last
-    ``_ANDERSON_MEMORY`` (25) differences of T(V) - V and of T(V). Their
+    ``_ANDERSON_MEMORY`` (60) differences of T(V) - V and of T(V). Their
     Gram matrix is kept in place: a new difference updates its own row
     and column with one matrix-vector product, and the Tikhonov term reads
     the trace off the stored squared norms. A safeguard
@@ -261,6 +347,8 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     image with an empty memory. The memory is also emptied whenever rho
     adapts; with an empty memory the step is plain ADMM. The class
     structure is the level's shared, read-only one (``problem.structure``).
+    OpenBLAS, when numpy uses it, is held at one thread for the solve;
+    the thread count never changes a result.
 
     The primal residual ||X_k - Z_{k+1}|| and dual residual
     rho ||Z_{k+1} - Z_k|| are taken against the last accepted point; both

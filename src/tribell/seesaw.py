@@ -45,6 +45,7 @@ un-rotated run.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,8 +98,8 @@ class SeesawParams:
         if self.restarts < 1 or self.max_sweeps < 1:
             raise ValueError("restarts and max_sweeps must be positive")
         # Written so that NaN fails too.
-        if not self.convergence_tol > 0.0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0.0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be finite and positive")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 

@@ -51,6 +51,10 @@ def test_show_known_row(capsys):
     ("classify", "2", "--tol", "0"),
     ("classify", "2", "--tol", "-1e-4"),
     ("classify", "2", "--tol", "nan"),
+    ("classify", "2", "--tol", "inf"),
+    ("npa", "2", "--level", "1ab", "--tol", "inf"),
+    ("qmax", "26", "--tol", "inf"),
+    ("tables", "--tol", "inf"),
     ("qmax", "2", "--seed", "-1"),
     ("tables", "--seed", "-1"),
 ])

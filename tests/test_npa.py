@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tribell
+import tribell.npa as npa
 from tribell.bell_expr import catalog_entry, parse_expression
 from tribell.npa import (
     LEVELS,
@@ -157,6 +159,8 @@ def test_sdp_params_validation():
     with pytest.raises(ValueError):
         SdpParams(tolerance=float("nan"))
     with pytest.raises(ValueError):
+        SdpParams(tolerance=float("inf"))
+    with pytest.raises(ValueError):
         SdpParams(max_iterations=0)
     with pytest.raises(ValueError):
         SdpParams(adapt_interval=0)
@@ -228,11 +232,12 @@ def test_non_convergence_raises():
 def test_slowest_certification_solves_converge_quickly(ident, level):
     """Anderson acceleration cuts ADMM's linear tail: these two solves
     took 4,850 and 3,851 plain iterations, 693 and 760 with a memory of
-    10, and take 411 and 561 with the memory of 25."""
+    10, 411 and 561 with a memory of 25, and take 261 and 426 with the
+    memory of 60."""
     problem = build_moment_problem(catalog_entry(ident).expression, level)
     solution = sdp_maximize(problem, CERTIFY_SDP)
     assert solution.status == "converged"
-    assert solution.iterations <= 650
+    assert solution.iterations <= 500
 
 
 def test_level_structure_is_shared_and_read_only():
@@ -247,14 +252,89 @@ def test_level_structure_is_shared_and_read_only():
         structure.class_index[()] = 0
 
 
+def _after_cli_import(expression: str) -> str:
+    """What ``expression`` (over ``npa``) prints in a fresh interpreter
+    that has imported the command line, as every start does."""
+    src = str(Path(tribell.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = f"import tribell.cli, tribell.npa as npa; print({expression})"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
 def test_import_builds_no_level():
     """The structures are built on first use, so importing the package
     (which the command line does at every start) costs nothing for them."""
-    src = str(Path(tribell.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import tribell.cli, tribell.npa as npa; print(npa._level_structure.cache_info().currsize)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "0"
+    assert _after_cli_import("npa._level_structure.cache_info().currsize") == "0"
+
+
+def test_import_looks_up_no_blas():
+    """The OpenBLAS thread functions are looked up on the first solve,
+    so the command line's start-up time does not include the search."""
+    assert _after_cli_import("npa._openblas_threads.cache_info().currsize") == "0"
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """OpenBLAS's (get, set) functions, with the count set to 2 for the
+    test and put back afterwards; skips where numpy uses no OpenBLAS."""
+    threads = npa._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not use a loaded OpenBLAS here")
+    get, set_ = threads
+    original = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(original)
+
+
+def test_solve_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads):
+    """The iteration's eigendecompositions run on one OpenBLAS thread, and
+    the earlier count comes back after a solve, after an exception and
+    after nested holds."""
+    get = openblas_at_two_threads
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix):
+        seen.append(get())
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    solution = sdp_maximize(build_moment_problem(MERMIN, "1+AB"), QUICK_SDP)
+    assert solution.status == "converged"
+    assert len(seen) == solution.iterations
+    assert set(seen) == {1}
+    assert get() == 2
+    with pytest.raises(RuntimeError, match="inside"):
+        with npa._one_blas_thread:
+            assert get() == 1
+            raise RuntimeError("inside")
+    assert get() == 2
+    with npa._one_blas_thread:
+        with npa._one_blas_thread:
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+
+
+def test_concurrent_solves_restore_the_thread_count(openblas_at_two_threads):
+    """Holds from several threads overlap; the count the first one saved
+    comes back once the last one ends."""
+    get = openblas_at_two_threads
+    problem = build_moment_problem(CHSH, "Q1")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(sdp_maximize, problem, QUICK_SDP) for _ in range(64)]
+            solutions = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(solution.status == "converged" for solution in solutions)
+    assert get() == 2
 
 
 def test_rigor_margin_is_floored_at_the_tolerance():

@@ -43,6 +43,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SeesawParams(convergence_tol=float("nan"))
     with pytest.raises(ValueError):
+        SeesawParams(convergence_tol=float("inf"))
+    with pytest.raises(ValueError):
         SeesawParams(master_seed=-1)
 
 
