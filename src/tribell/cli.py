@@ -40,7 +40,7 @@ from .fixtures import (
 from .monotones import DEFAULT_CLASS_TOL, nonlocality_class
 from .npa import LEVELS, SdpParams, npa_solve
 from .qcore import Observable, PureState, bell_operator, expectation
-from .seesaw import SeesawParams, Solution, quantum_maximum
+from .seesaw import SeesawParams, Solution, quantum_maxima, quantum_maximum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -329,7 +329,11 @@ def _check(value, expected, tolerance) -> dict:
     return {"value": value, "expected": expected, "tolerance": tolerance, "status": status}
 
 
-def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params) -> dict:
+def _tables_row(ident: int, solution: Solution | RuntimeError, npa_levels, npa_params) -> dict:
+    """One report row around the row's seesaw result, which raises here
+    when its seesaw failed."""
+    if isinstance(solution, RuntimeError):
+        raise solution
     entry = catalog_entry(ident)
     record = fixture_record(ident)
     row: dict = {"id": ident, "kind": record.kind}
@@ -337,7 +341,6 @@ def _tables_row(ident: int, seesaw_params: SeesawParams, npa_levels, npa_params)
     bound, _ = local_bound(entry.expression)
     row["local_bound"] = _check(bound, entry.local_maximum, 0)
 
-    solution = quantum_maximum(entry.expression, seesaw_params)
     row["seesaw_value"] = _check(solution.value, record.maximum, VALUE_TOL[record.kind])
     row["seesaw_value"].update(capped_restarts=solution.capped_restarts, hits=solution.hits,
                                median_sweeps=solution.median_sweeps)
@@ -423,11 +426,13 @@ def _cmd_tables(args) -> int:
     # A damaged embedded table fails the whole command here, not every row.
     load_catalog()
     load_reference_table()
+    solutions = quantum_maxima([catalog_entry(ident).expression for ident in CATALOG_IDS],
+                               seesaw_params)
     ordered = []
-    for ident in CATALOG_IDS:
+    for ident, solution in zip(CATALOG_IDS, solutions):
         # A failure in one row is recorded there and does not sink the report.
         try:
-            ordered.append(_tables_row(ident, seesaw_params, npa_levels, npa_params))
+            ordered.append(_tables_row(ident, solution, npa_levels, npa_params))
         except (ValueError, RuntimeError) as err:
             ordered.append(
                 {"id": ident, "status": "error", "error": f"{type(err).__name__}: {err}"}

@@ -4,10 +4,26 @@ Measurements are ±1-outcome qubit observables: either a signed identity
 or a Bloch observable ``n . sigma`` with a unit vector ``n``. States live
 in the computational basis ``|000> .. |111>`` with party 1 as the most
 significant qubit.
+
+The batched kernel works in the real Pauli basis: a measurement is the
+row ``(r0, rx, ry, rz)`` of ``r0 * identity + r . sigma``. Contracting a
+coefficient tensor with the three parties' rows gives 64 Pauli weights
+``w[mu, nu, lam]``, and the Bell operator is ``w`` times a (64, 64)
+Kronecker table of the products ``sigma_mu ⊗ sigma_nu ⊗ sigma_lam``; a
+state's correlation tensor is its flattened ``conj(psi) psi^T`` times the
+table's transpose. Each is one product per batch, taken as its real and
+imaginary parts: x-z rows and real states need only the real part, in
+real arithmetic. Every batch entry's product is computed on its own, so
+its bits do not depend on the batch around it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,37 +149,35 @@ class PureState:
 
 # The real Pauli basis (identity, x, y, z). A measurement is the real row
 # (r0, rx, ry, rz) of r0 * identity + r . sigma: a Bloch observable is
-# (0, n) and ±identity is (±1, 0, 0, 0). Row mu of _PAULI_ENTRIES lists the
-# entries (a, d) of sigma_mu.
-_PAULI_ENTRIES = np.stack([np.eye(2, dtype=complex), sigma_x, sigma_y, sigma_z]).reshape(4, 4)
-# The same table with the row of sigma_y replaced by the real -i sigma_y.
-# Since sigma_y = i (-i sigma_y), a correlation with k y indices is i^k v,
-# v its value in this table; for a real state v is real and the correlation
-# is Re(i^k) v.
-_REAL_ENTRIES = _PAULI_ENTRIES.real.copy()
-_REAL_ENTRIES[2] = (-1j * _PAULI_ENTRIES[2]).real
-_REAL_FACTORS = np.array([1.0, 0.0, -1.0, 0.0])[(np.indices((4, 4, 4)) == 2).sum(axis=0)]
-# Axis orders of an (n, 8, 8) operator split into qubit indices: (a, b, c, d,
-# e, f) to the per-qubit entry pairs (a, d, b, e, c, f), and back.
-_TO_PAIRS = (0, 1, 4, 2, 5, 3, 6)
-_FROM_PAIRS = (0, 1, 3, 5, 2, 4, 6)
-# Axis orders that bring a party first in a tensor and in a batch of them.
-_PARTY_FIRST = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+# (0, n) and ±identity is (±1, 0, 0, 0).
+# The other two parties of each party, in party order.
+_OTHER_PARTIES = ((1, 2), (0, 2), (0, 1))
+# Axis orders that bring a party first in a batch of correlation tensors.
 _BATCH_PARTY_FIRST = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
-def _per_qubit(batch: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 map to each qubit axis of an (n, 4, 4, 4) batch.
+@functools.lru_cache(maxsize=1)
+def _pauli_products():
+    """Real and imaginary parts of the (64, 64) Kronecker table whose row
+    ``16 mu + 4 nu + lam`` is ``sigma_mu ⊗ sigma_nu ⊗ sigma_lam`` flattened,
+    read-only. Built on first use, never at import."""
+    paulis = np.stack([np.eye(2), sigma_x, sigma_y, sigma_z])
+    table = np.einsum("iab,jcd,kef->ijkacebdf", paulis, paulis, paulis).reshape(64, 64)
+    parts = table.real.copy(), table.imag.copy()
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
-    Three products with an inner size of 4 replace one (n, 64) @ (64, 64)
-    product. OpenBLAS splits the large product across threads; on a 2-CPU
-    machine with one CPU busy elsewhere that made ``tables`` 2.5 times
-    slower. Products this small stay on one thread for batches of up to
-    1024.
+
+def _rowwise(batch: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``batch @ table`` for an (n, 64) batch, one row at a time.
+
+    The stacked form gives each row the bits it has alone. A plain
+    ``batch @ table`` switches BLAS routines with ``n`` (to gemv for a
+    lone row), which changes the last bits of a row with the batch
+    around it.
     """
-    for _ in range(3):
-        batch = (batch.transpose(0, 2, 3, 1).reshape(-1, 4) @ matrix).reshape(-1, 4, 4, 4)
-    return batch
+    return (batch[:, None, :] @ table)[:, 0]
 
 
 def observable_rows(observables) -> np.ndarray:
@@ -185,18 +199,21 @@ def observable_rows(observables) -> np.ndarray:
 def _open_party(tensor: np.ndarray, rows: np.ndarray, party: int) -> np.ndarray:
     """Contract the coefficient tensor with the other two parties' rows.
 
-    ``rows`` is an (n, 3, 3, 4) batch of per-party rows. The result is
-    (n, 3, 4, 4): the free party's slot index, then the Pauli indices of
-    the other two parties in party order.
+    ``rows`` is an (n, 3, 3, 4) batch of per-party rows, and ``tensor``
+    one (3, 3, 3) coefficient tensor or an (n, 3, 3, 3) stack of them,
+    one per batch entry. The result is (n, 3, 4, 4): the free party's
+    slot index, then the Pauli indices of the other two parties in party
+    order.
     """
-    _, first, second = _PARTY_FIRST[party]
-    free_first = tensor.transpose(_PARTY_FIRST[party]).reshape(9, 3)
+    first, second = _OTHER_PARTIES[party]
+    free_first = np.moveaxis(tensor, party - 3, -3).reshape(tensor.shape[:-3] + (9, 3))
     half = (free_first @ rows[:, second]).reshape(-1, 3, 3, 4)
     return rows[:, first].swapaxes(1, 2)[:, None] @ half
 
 
 def bell_operators(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(n, 8, 8) Bell operators of an (n, 3, 3, 4) batch of rows.
+    """(n, 8, 8) Bell operators of an (n, 3, 3, 4) batch of rows, under one
+    coefficient tensor or a stack of them (see ``_open_party``).
 
     When no row has a y component, sigma_y has weight 0 and the operators
     are real symmetric: they are built in real arithmetic and are float64.
@@ -206,24 +223,31 @@ def bell_operators(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _operators(opened: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``bell_operators`` from party A's ``_open_party`` contraction."""
-    weights = (rows[:, 0].swapaxes(1, 2) @ opened.reshape(-1, 3, 16)).reshape(-1, 4, 4, 4)
-    entries = _PAULI_ENTRIES if np.any(rows[..., 2]) else _REAL_ENTRIES
-    pairs = _per_qubit(weights, entries).reshape((-1,) + (2,) * 6)
-    return pairs.transpose(_FROM_PAIRS).reshape(-1, 8, 8)
+    """``bell_operators`` from party A's ``_open_party`` contraction: the
+    Pauli weights ``w`` times the Kronecker table, real part and, when a
+    row has a y component, imaginary part."""
+    weights = (rows[:, 0].swapaxes(1, 2) @ opened.reshape(-1, 3, 16)).reshape(-1, 64)
+    real, imag = _pauli_products()
+    if not np.any(rows[..., 2]):
+        return _rowwise(weights, real).reshape(-1, 8, 8)
+    operators = np.empty((len(weights), 64), dtype=complex)
+    operators.real, operators.imag = _rowwise(weights, real), _rowwise(weights, imag)
+    return operators.reshape(-1, 8, 8)
 
 
 def correlations(states: np.ndarray) -> np.ndarray:
     """(n, 4, 4, 4) correlation tensors <psi|s_mu ⊗ s_nu ⊗ s_lam|psi> of (n, 8) states.
 
-    Real-dtype states are handled exactly in real arithmetic, through the
-    real table and a fixed factor per entry.
+    The flattened ``conj(psi) psi^T`` times the transposed Kronecker table,
+    real part. Real-dtype states leave out the imaginary half of the
+    product, which is zero for them, and give the same values.
     """
-    outer = (states.conj()[:, :, None] * states[:, None, :]).reshape((-1,) + (2,) * 6)
-    pairs = outer.transpose(_TO_PAIRS).reshape(-1, 4, 4, 4)
+    outer = (states.conj()[:, :, None] * states[:, None, :]).reshape(-1, 64)
+    real, imag = _pauli_products()
+    corr = _rowwise(outer.real, real.T)
     if np.iscomplexobj(states):
-        return _per_qubit(pairs, _PAULI_ENTRIES.T).real
-    return _per_qubit(pairs, _REAL_ENTRIES.T) * _REAL_FACTORS
+        corr -= _rowwise(outer.imag, imag.T)
+    return corr.reshape(-1, 4, 4, 4)
 
 
 def slot_response(tensor: np.ndarray, rows: np.ndarray, corr: np.ndarray,
@@ -296,3 +320,80 @@ def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
     shaped = rho.reshape((2,) * (2 * n_qubits))
     swapped = np.swapaxes(shaped, subsystem, subsystem + n_qubits)
     return swapped.reshape(dim, dim)
+
+
+# (get, set) thread-count symbols of OpenBLAS builds: the scipy-openblas
+# wheel numpy 2 ships, the ILP64 build of numpy 1 wheels, a system build.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    has loaded, or None where none is found (another BLAS, or a system
+    without ``/proc/self/maps``). Looked up on first use, never at import."""
+    try:
+        # surrogateescape keeps any file name, decodable or not, and
+        # hands it back to dlopen unchanged.
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            # A mapping's sixth field, when present, is the mapped file.
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = {f[5].strip() for f in fields
+             if len(f) == 6 and "blas" in os.path.basename(f[5]).lower()}
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager, and decorator, that holds OpenBLAS at one thread
+    and then restores the earlier count.
+
+    The moment matrices are at most 27 wide and the seesaw's Kronecker
+    products 64 wide. A threaded ``eigh`` or product of that size gains
+    no wall time: it spends CPU time on a second thread and can stall for
+    milliseconds per call. The count is process-wide, so nested and
+    concurrent holds share one: the first to enter saves the count and
+    the last to leave restores it. Without OpenBLAS it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holds = 0
+        self._previous = 0
+
+    def __enter__(self):
+        threads = _openblas_threads()
+        if threads is not None:
+            get, set_ = threads
+            with self._lock:
+                if not self._holds:
+                    self._previous = get()
+                    set_(1)
+                self._holds += 1
+
+    def __exit__(self, *exc_info):
+        threads = _openblas_threads()
+        if threads is not None:
+            with self._lock:
+                self._holds -= 1
+                if not self._holds:
+                    threads[1](self._previous)
+
+
+_one_blas_thread = _OneBlasThread()

@@ -11,12 +11,24 @@ the objective up to floating-point noise.
 Restarts are independent: restart ``i`` draws its initial state and Bloch
 vectors from a stream derived from ``(master_seed, i)``, so results do
 not depend on execution order. The draws do not depend on the expression:
-each set of streams is drawn once, in the same order, and shared. The live
-restarts advance in lock step through vectorized sweeps, contiguous and in
-restart order; a restart whose sweep improvement drops below the tolerance
-leaves the batch, which keeps it equivalent to running each restart alone.
-Past numpy's per-call overhead, a sweep's cost is mostly the 8x8 ``eigh``
-of each live restart, which no change that keeps the results can cut.
+each set of streams is drawn once, in the same order, and shared.
+
+Every restart runs in one pool of ``_POOL_WIDTH`` slots that advance in
+lock step through vectorized sweeps. :func:`quantum_maxima` (which
+``tables`` calls once for the whole catalog) queues the restarts of all
+its expressions in (expression, restart) order; each carries its
+expression's coefficient tensor and monotonicity slack and its own sweep
+counter. A restart leaves when its sweep improvement drops below the
+tolerance or at ``max_sweeps``, and the queue refills its slot. An
+expression's solution is built, and its buffers freed, as soon as its
+last restart leaves. Every kernel call treats each restart on its own, so
+a restart's path is the same bit for bit whatever else is in the pool:
+:func:`quantum_maximum` and :func:`seesaw_run` are pools of one
+expression. A full pool spreads numpy's per-call overhead thin; what is
+left is mostly the 8x8 ``eigh`` of each live restart, more than half of
+the catalog's seesaw time. The pool holds OpenBLAS at one thread, as the
+moment-matrix solver does, so no call of a sweep depends on the thread
+count that the environment asks for.
 
 Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
 measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the
@@ -45,8 +57,9 @@ un-rotated run.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +67,11 @@ from .bell_expr import BellExpression
 from .qcore import (
     Observable,
     PureState,
+    _one_blas_thread,
     _open_party,
     _operators,
     _response,
     bell_operator,
-    bell_operators,
     correlations,
     expectation,
     observable_rows,
@@ -71,6 +84,7 @@ __all__ = [
     "best_observable",
     "best_state",
     "evaluate_solution",
+    "quantum_maxima",
     "quantum_maximum",
     "seesaw_run",
 ]
@@ -85,6 +99,10 @@ _MONOTONE_SLACK = 1e-9
 # two restarts. Restarts that stopped on the convergence tolerance short of
 # the maximum can sit 30 to 150 eps times the scale below it and do not tie.
 _VALUE_TIE_TOL = 16 * np.finfo(float).eps
+# Restarts in flight at once, over all rows. Each numpy call of a sweep
+# sees this many restarts, which spreads its overhead thin, while the
+# pool's arrays stay a few hundred kilobytes.
+_POOL_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -152,8 +170,7 @@ def evaluate_solution(expr: BellExpression, solution: Solution) -> float:
 
 def seesaw_run(expr: BellExpression, seed: int, params: SeesawParams) -> Solution:
     """One seeded run; the returned solution carries its per-sweep value trace."""
-    batch = _run_batch(expr.tensor().astype(float), _draws(seed, ((),)), params, keep_trace=True)
-    return replace(_solution_from_run(batch, 0), value_trace=tuple(batch["traces"][0]))
+    return _raised(_maxima([expr], _draws(seed, ((),)), params, keep_trace=True)[0])
 
 
 def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams()) -> Solution:
@@ -163,26 +180,52 @@ def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams())
     Values within rounding of the best tie, so the winner does not depend
     on the last bits of the arithmetic.
     """
+    return _raised(quantum_maxima([expr], params)[0])
+
+
+def quantum_maxima(exprs, params: SeesawParams = SeesawParams()) -> list[Solution | RuntimeError]:
+    """``quantum_maximum`` of each expression, all run through one restart pool.
+
+    Each entry is the expression's solution, or the RuntimeError of a step
+    that decreased the value of one of its restarts: that expression's
+    runs stop there, and the others finish.
+    """
     keys = tuple((i,) for i in range(params.restarts))
-    tensor = expr.tensor().astype(float)
-    batch = _run_batch(tensor, _draws(params.master_seed, keys), params, keep_trace=False)
-    values = batch["values"]
-    best = int(np.argmax(values >= values.max() - _VALUE_TIE_TOL * _scale(tensor)))
-    return _solution_from_run(batch, best)
+    return _maxima(exprs, _draws(params.master_seed, keys), params, keep_trace=False)
 
 
-def _solution_from_run(batch, i: int) -> Solution:
-    """Restart ``i`` of a batch, with the statistics of the whole batch."""
-    values = batch["values"]
+def _raised(result):
+    """A pool's entry for one expression: its solution, or its error raised."""
+    if isinstance(result, RuntimeError):
+        raise result
+    return result
+
+
+@_one_blas_thread
+def _maxima(exprs, draws, params, keep_trace):
+    """One pool over ``exprs``, each row's entry built as the row finishes."""
+    tensors = np.array([expr.tensor() for expr in exprs], dtype=float).reshape(-1, 3, 3, 3)
+    results = [None] * len(tensors)
+    for row, run in _pool(tensors, draws, params, keep_trace):
+        results[row] = run if isinstance(run, RuntimeError) else _best_solution(run)
+    return results
+
+
+def _best_solution(run) -> Solution:
+    """A row's best restart, by the tie rule of ``quantum_maximum``, with
+    the statistics of all its restarts."""
+    values = run["values"]
+    best = int(np.argmax(values >= values.max() - _VALUE_TIE_TOL * run["scale"]))
     return Solution(
-        state=PureState(batch["states"][i]),
-        measurements=tuple(_decode_observable(row) for row in batch["rows"][i]),
-        value=float(values[i]),
-        sweeps_used=int(batch["sweeps"][i]),
-        restart_index=i,
-        capped_restarts=int(np.count_nonzero(~batch["converged"])),
-        hits=int(np.count_nonzero(values >= values.max() - batch["slack"])),
-        median_sweeps=float(np.median(batch["sweeps"])),
+        state=PureState(run["states"][best]),
+        measurements=tuple(_decode_observable(row) for row in run["rows"][best]),
+        value=float(values[best]),
+        sweeps_used=int(run["sweeps"][best]),
+        restart_index=best,
+        value_trace=None if run["traces"] is None else tuple(run["traces"][best]),
+        capped_restarts=int(np.count_nonzero(~run["converged"])),
+        hits=int(np.count_nonzero(values >= values.max() - run["slack"])),
+        median_sweeps=float(np.median(run["sweeps"])),
     )
 
 
@@ -248,9 +291,13 @@ def _real_gauge(rows):
 
 @functools.lru_cache(maxsize=4)
 def _draws(entropy, spawn_keys):
-    """Starting states, drawn rows and their real-gauge rotation for the
-    streams ``SeedSequence(entropy, spawn_key=key)``: read-only and shared
-    by every expression, which the draws do not depend on."""
+    """Starting moments and real-gauge rows for the streams
+    ``SeedSequence(entropy, spawn_key=key)``: read-only and shared by every
+    expression, which the draws do not depend on.
+
+    A restart's starting value is its (27,) moments ``<A_i B_j C_k>`` of the
+    drawn state and observables, dotted with an expression's coefficients.
+    """
     n = len(spawn_keys)
     start = np.empty((n, 8), dtype=complex)
     # Per restart and party: Pauli rows [identity, first, second setting].
@@ -264,11 +311,12 @@ def _draws(entropy, spawn_keys):
         start[i] = amp / np.linalg.norm(amp)
         raw = rng.standard_normal((6, 3))
         rows[i, :, 1:, 1:] = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(3, 2, 3)
-    gauged = rows.copy()
-    _real_gauge(gauged)
-    for array in (start, rows, gauged):
+    moments = np.einsum("nia,njb,nkc,nabc->nijk", rows[:, 0], rows[:, 1], rows[:, 2],
+                        correlations(start)).reshape(n, 27)
+    _real_gauge(rows)
+    for array in (moments, rows):
         array.flags.writeable = False
-    return start, rows, gauged
+    return moments, rows
 
 
 def _state_step(tensor, rows, opened=None):
@@ -286,51 +334,108 @@ def _state_step(tensor, rows, opened=None):
     return eigvals[:, -1], states * (np.abs(lead) / lead)[:, None]
 
 
-def _run_batch(tensor, draws, params, keep_trace):
-    start, drawn, gauged = draws
-    n = len(start)
-    # The drawn state sets only the starting value; the state step replaces it.
-    values = np.einsum("na,nab,nb->n", start.conj(), bell_operators(tensor, drawn), start).real
-    rows = gauged.copy()
-    states, converged = np.empty((n, 8)), np.ones(n, dtype=bool)
-    sweeps_used = np.full(n, params.max_sweeps, dtype=int)
-    traces = [[] for _ in range(n)] if keep_trace else None
+def _sweep(tensor, rows, before, slack):
+    """One sweep of a batch of restarts; updates ``rows`` in place.
 
-    # The live restarts stay contiguous and in restart order: each kernel call
-    # sees exactly the unconverged restarts. One is written back once it stops.
-    live, live_rows, live_values = np.arange(n), rows, values
-    slack = _MONOTONE_SLACK * _scale(tensor)
-    for sweep in range(1, params.max_sweeps + 1):
-        before = live_values
-        # State step: the rows are x-z, so the operators and states are real.
-        # It leaves the rows alone, so party A's contraction serves its
-        # observable step too.
-        opened = _open_party(tensor, live_rows, 0)
-        live_values, psi = _state_step(tensor, live_rows, opened)
-        if (live_values < before - slack).any():
-            raise RuntimeError("seesaw state step decreased the value")
-        corr = correlations(psi)
+    Returns the new values, the states, and for the state step and the
+    observable steps the restarts whose value that step lowered by more
+    than their ``slack``.
+    """
+    # State step: the rows are x-z, so the operators and states are real.
+    # It leaves the rows alone, so party A's contraction serves its
+    # observable step too.
+    opened = _open_party(tensor, rows, 0)
+    value, psi = _state_step(tensor, rows, opened)
+    lowered = {"state": value < before - slack, "observable": np.zeros(len(value), dtype=bool)}
+    corr = correlations(psi)
+    # Observable steps, both settings of a party at once.
+    for party in range(3):
+        if party:
+            opened = _open_party(tensor, rows, party)
+        previous, value = value, _update_settings(rows[:, party], _response(opened, corr, party))
+        lowered["observable"] |= value < previous - slack
+    return value, psi, lowered
 
-        # Observable steps, both settings of a party at once.
-        for party in range(3):
-            if party:
-                opened = _open_party(tensor, live_rows, party)
-            response = _response(opened, corr, party)
-            previous, live_values = live_values, _update_settings(live_rows[:, party], response)
-            if (live_values < previous - slack).any():
-                raise RuntimeError("seesaw observable step decreased the value")
+
+def _new_run(tensor, restarts: int, keep_trace: bool) -> dict:
+    """Per-restart result buffers of one row, filled as its restarts leave."""
+    scale = _scale(tensor)
+    return {"states": np.empty((restarts, 8)), "rows": np.empty((restarts, 6, 4)),
+            "values": np.empty(restarts), "sweeps": np.empty(restarts, dtype=int),
+            "converged": np.empty(restarts, dtype=bool),
+            "traces": [[] for _ in range(restarts)] if keep_trace else None,
+            "scale": scale, "slack": _MONOTONE_SLACK * scale, "left": restarts}
+
+
+def _pool(tensors, draws, params, keep_trace):
+    """Every row's restarts, run through one pool of ``_POOL_WIDTH`` slots.
+
+    ``tensors`` is an (m, 3, 3, 3) stack of coefficient tensors, and every
+    row runs each restart of ``draws``. Restarts enter in (row, restart)
+    order and leave on the convergence tolerance or at
+    ``params.max_sweeps``; the slots they free are refilled at the start
+    of the next sweep. Yields ``(row, run)`` once a row's last restart has
+    left: ``run`` holds its per-restart results, or is the RuntimeError of
+    a step that decreased one of its restarts' values, which ends that
+    row's restarts and no other's.
+    """
+    moments, gauged = draws
+    restarts = len(gauged)
+    runs, failed = {}, {}
+    queue = ((row, i) for row in range(len(tensors)) for i in range(restarts)
+             if row not in failed)
+    # The live restarts, contiguous and in entry order. Each carries its
+    # row, restart index, tensor, monotonicity slack, rows, value and
+    # sweep count.
+    live = {"row": np.empty(0, dtype=int), "restart": np.empty(0, dtype=int),
+            "tensor": np.empty((0, 3, 3, 3)), "slack": np.empty(0), "rows": np.empty((0, 3, 3, 4)),
+            "value": np.empty(0), "sweeps": np.empty(0, dtype=int)}
+
+    while True:
+        entering = list(itertools.islice(queue, _POOL_WIDTH - len(live["row"])))
+        if entering:
+            row, restart = np.array(entering).T
+            for new in row[restart == 0].tolist():
+                runs[new] = _new_run(tensors[new], restarts, keep_trace)
+            tensor = tensors[row]
+            # The drawn state sets only the starting value; the state step
+            # replaces it.
+            value = np.einsum("nt,nt->n", moments[restart], tensor.reshape(-1, 27))
+            entered = {"row": row, "restart": restart, "tensor": tensor,
+                       "slack": np.array([runs[r]["slack"] for r in row.tolist()]),
+                       "rows": gauged[restart], "value": value,
+                       "sweeps": np.zeros(len(row), dtype=int)}
+            live = {key: np.concatenate((live[key], entered[key])) for key in live}
+        if not len(live["row"]):
+            return
+        before = live["value"]
+        value, psi, lowered = _sweep(live["tensor"], live["rows"], before, live["slack"])
+        for step, down in lowered.items():
+            if down.any():
+                for row in np.unique(live["row"][down]).tolist():
+                    failed.setdefault(row, RuntimeError(f"seesaw {step} step decreased the value"))
+        live["value"] = value
+        live["sweeps"] += 1
 
         if keep_trace:
-            for run, value in zip(live, live_values.tolist()):
-                traces[run].append(value)
-        done = live_values - before < params.convergence_tol
-        if done.any():
-            finished = live[done]
-            rows[finished], values[finished], states[finished] = live_rows[done], live_values[done], psi[done]
-            sweeps_used[finished] = sweep
-            live, live_rows, live_values, psi = (a[~done] for a in (live, live_rows, live_values, psi))
-            if not live.size:
-                break
-    rows[live], values[live], states[live], converged[live] = live_rows, live_values, psi, False
-    return {"states": states, "rows": rows[:, :, 1:].reshape(n, 6, 4), "values": values,
-            "sweeps": sweeps_used, "converged": converged, "traces": traces, "slack": slack}
+            for row, i, v in zip(live["row"].tolist(), live["restart"].tolist(), value.tolist()):
+                runs[row]["traces"][i].append(v)
+        dead = np.isin(live["row"], list(failed))
+        for row in np.unique(live["row"][dead]).tolist():
+            del runs[row]
+            yield row, failed[row]
+        done = value - before < params.convergence_tol
+        leaving = (done | (live["sweeps"] >= params.max_sweeps)) & ~dead
+        for row in np.unique(live["row"][leaving]).tolist():
+            mine = leaving & (live["row"] == row)
+            run, restart = runs[row], live["restart"][mine]
+            run["states"][restart] = psi[mine]
+            run["rows"][restart] = live["rows"][mine][:, :, 1:].reshape(-1, 6, 4)
+            run["values"][restart] = value[mine]
+            run["sweeps"][restart] = live["sweeps"][mine]
+            run["converged"][restart] = done[mine]
+            run["left"] -= len(restart)
+            if not run["left"]:
+                yield row, runs.pop(row)
+        if (leaving | dead).any():
+            live = {key: array[~(leaving | dead)] for key, array in live.items()}

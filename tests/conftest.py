@@ -4,9 +4,10 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
+import tribell.qcore as qcore
 from tribell.bell_expr import CATALOG_IDS, catalog_entry
 from tribell.npa import SdpParams
-from tribell.seesaw import SeesawParams, quantum_maximum
+from tribell.seesaw import SeesawParams, quantum_maxima
 
 settings.register_profile(
     "default",
@@ -39,12 +40,12 @@ CERTIFY_SDP = SdpParams(tolerance=1e-9, adapt_interval=50, max_iterations=10**6)
 
 @pytest.fixture(scope="session")
 def full_seesaw():
-    """One 200-restart seesaw pass over the whole catalog, timed."""
+    """One 200-restart seesaw pass over the whole catalog, timed: a single
+    restart pool runs all 46 rows."""
     params = SeesawParams(restarts=200, master_seed=0)
     started = time.perf_counter()
-    solutions = {ident: quantum_maximum(catalog_entry(ident).expression, params)
-                 for ident in CATALOG_IDS}
-    return solutions, time.perf_counter() - started
+    solutions = quantum_maxima([catalog_entry(ident).expression for ident in CATALOG_IDS], params)
+    return dict(zip(CATALOG_IDS, solutions)), time.perf_counter() - started
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +65,19 @@ def npa_survey():
             bound = npa_upper_bound(expr, level, CERTIFY_SDP)
             survey[(ident, level)] = (bound, time.perf_counter() - started)
     return survey
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """OpenBLAS's (get, set) functions, with the count set to 2 for the
+    test and put back afterwards; skips where numpy uses no OpenBLAS."""
+    threads = qcore._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not use a loaded OpenBLAS here")
+    get, set_ = threads
+    original = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(original)

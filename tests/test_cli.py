@@ -259,7 +259,7 @@ def test_tables_detects_mismatches(capsys, monkeypatch):
     fake = Solution(state=state,
                     measurements=tuple(Observable.identity(1) for _ in range(6)),
                     value=0.0, sweeps_used=0, restart_index=0)
-    monkeypatch.setattr(cli, "quantum_maximum", lambda expr, params: fake)
+    monkeypatch.setattr(cli, "quantum_maxima", lambda exprs, params: [fake] * len(exprs))
     code, out, _ = run(capsys, "tables", "--restarts", "2")
     assert code == 2
     assert "mismatch" in out
@@ -275,13 +275,13 @@ def test_tables_exits_with_the_gravest_status(capsys, monkeypatch):
     ids = {entry.expression: entry.id for entry in load_catalog()}
     failing = {17}
 
-    def seesaw(expr, params):
-        ident = ids[expr]
-        if ident in failing:
-            raise RuntimeError("seesaw state step decreased the value")
-        return replace(fake, value=fixture_record(ident).maximum + (1.0 if ident == 26 else 0.0))
+    def seesaw(exprs, params):
+        return [RuntimeError("seesaw state step decreased the value") if ids[expr] in failing
+                else replace(fake, value=fixture_record(ids[expr]).maximum
+                             + (1.0 if ids[expr] == 26 else 0.0))
+                for expr in exprs]
 
-    monkeypatch.setattr(cli, "quantum_maximum", seesaw)
+    monkeypatch.setattr(cli, "quantum_maxima", seesaw)
     code, out, _ = run(capsys, "tables", "--restarts", "1")
     assert code == cli.EXIT_ERROR
     assert "1 mismatches, 0 unconverged, 1 errors" in out
@@ -294,15 +294,14 @@ def test_tables_exits_with_the_gravest_status(capsys, monkeypatch):
 
 
 def test_tables_contains_a_failing_row(capsys, tmp_path, monkeypatch):
-    real = cli.quantum_maximum
+    real = cli.quantum_maxima
     failing = catalog_entry(17).expression
 
-    def flaky(expr, params):
-        if expr == failing:
-            raise RuntimeError("seesaw state step decreased the value")
-        return real(expr, params)
+    def flaky(exprs, params):
+        return [RuntimeError("seesaw state step decreased the value") if expr == failing
+                else solution for expr, solution in zip(exprs, real(exprs, params))]
 
-    monkeypatch.setattr(cli, "quantum_maximum", flaky)
+    monkeypatch.setattr(cli, "quantum_maxima", flaky)
     out_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
     code, out, _ = run(capsys, "tables", "--restarts", "4",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import tribell
 import tribell.npa as npa
+import tribell.qcore as qcore
 from tribell.bell_expr import catalog_entry, parse_expression
 from tribell.npa import (
     LEVELS,
@@ -253,11 +254,11 @@ def test_level_structure_is_shared_and_read_only():
 
 
 def _after_cli_import(expression: str) -> str:
-    """What ``expression`` (over ``npa``) prints in a fresh interpreter
-    that has imported the command line, as every start does."""
+    """What ``expression`` (over ``npa`` and ``qcore``) prints in a fresh
+    interpreter that has imported the command line, as every start does."""
     src = str(Path(tribell.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = f"import tribell.cli, tribell.npa as npa; print({expression})"
+    code = f"import tribell.cli, tribell.npa as npa, tribell.qcore as qcore; print({expression})"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return result.stdout.strip()
 
@@ -271,23 +272,7 @@ def test_import_builds_no_level():
 def test_import_looks_up_no_blas():
     """The OpenBLAS thread functions are looked up on the first solve,
     so the command line's start-up time does not include the search."""
-    assert _after_cli_import("npa._openblas_threads.cache_info().currsize") == "0"
-
-
-@pytest.fixture
-def openblas_at_two_threads():
-    """OpenBLAS's (get, set) functions, with the count set to 2 for the
-    test and put back afterwards; skips where numpy uses no OpenBLAS."""
-    threads = npa._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy does not use a loaded OpenBLAS here")
-    get, set_ = threads
-    original = get()
-    set_(2)
-    try:
-        yield get
-    finally:
-        set_(original)
+    assert _after_cli_import("qcore._openblas_threads.cache_info().currsize") == "0"
 
 
 def test_solve_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads):
@@ -309,12 +294,12 @@ def test_solve_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads
     assert set(seen) == {1}
     assert get() == 2
     with pytest.raises(RuntimeError, match="inside"):
-        with npa._one_blas_thread:
+        with qcore._one_blas_thread:
             assert get() == 1
             raise RuntimeError("inside")
     assert get() == 2
-    with npa._one_blas_thread:
-        with npa._one_blas_thread:
+    with qcore._one_blas_thread:
+        with qcore._one_blas_thread:
             assert get() == 1
         assert get() == 1
     assert get() == 2

@@ -17,6 +17,9 @@ from tribell.qcore import (
     observable_rows,
     partial_transpose,
     reduced_density,
+    sigma_x,
+    sigma_y,
+    sigma_z,
     slot_response,
 )
 
@@ -292,6 +295,17 @@ def test_bell_operators_of_xz_rows_are_real():
     assert np.all(mixed[others].imag == 0.0)
 
 
+def test_correlations_match_kron_reference():
+    gen = np.random.default_rng(36)
+    paulis = [np.eye(2), sigma_x, sigma_y, sigma_z]
+    for _ in range(5):
+        state = random_state(gen)
+        corr = correlations(state.amplitudes[None])[0]
+        for mu, nu, lam in np.ndindex(4, 4, 4):
+            operator = np.kron(np.kron(paulis[mu], paulis[nu]), paulis[lam])
+            assert abs(corr[mu, nu, lam] - expectation(state, operator)) < 1e-12
+
+
 def test_correlations_of_real_states_are_real_and_exact():
     gen = np.random.default_rng(34)
     states = gen.normal(size=(12, 8))
@@ -302,3 +316,22 @@ def test_correlations_of_real_states_are_real_and_exact():
     assert np.array_equal(real_corr, complex_corr)
     # The entries with two y indices are not zero.
     assert np.max(np.abs(complex_corr[:, 2, 2, 0])) > 1e-3
+
+
+def test_lone_row_equals_its_row_in_a_batch():
+    """Every batch entry's Kronecker product is computed on its own, so an
+    operator or correlation tensor has the same bits alone as in a batch."""
+    gen = np.random.default_rng(35)
+    expr = parse_expression("2 A - a + BC - 3 ABC + abc - Ab + 4 aBc + bC - c")
+    tensor = expr.tensor().astype(float)
+    for slot in (_xz_slot, _random_slot):
+        rows = np.array([observable_rows([slot(gen) for _ in range(6)]) for _ in range(25)])
+        operators = bell_operators(tensor, rows)
+        for n in range(25):
+            assert np.array_equal(bell_operators(tensor, rows[n:n + 1])[0], operators[n])
+    for states in (gen.normal(size=(25, 8)),
+                   gen.normal(size=(25, 8)) + 1j * gen.normal(size=(25, 8))):
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        corr = correlations(states)
+        for n in range(25):
+            assert np.array_equal(correlations(states[n:n + 1])[0], corr[n])

@@ -11,15 +11,17 @@ from tribell.seesaw import (
     SeesawParams,
     Solution,
     _draws,
-    _run_batch,
+    _pool,
     _scale,
     _state_step,
     best_observable,
     best_state,
     evaluate_solution,
+    quantum_maxima,
     quantum_maximum,
     seesaw_run,
 )
+from tribell import seesaw
 
 QUICK = SeesawParams(restarts=20, master_seed=0)
 
@@ -141,19 +143,26 @@ def test_draw_cache_does_not_leak_between_calls():
             array[0] = 0.0
 
 
+def _run_alone(tensor, draws, params):
+    """The per-restart results of one row run through the pool by itself."""
+    ((row, run),) = _pool(tensor[None], draws, params, keep_trace=False)
+    assert row == 0
+    return run
+
+
 def test_restart_alone_equals_restart_in_batch():
-    """Restarts that converge leave the live batch; the others must still
-    follow the path their stream takes in a batch of one. The batch's hit
-    count and median sweeps follow from its restarts run alone."""
+    """Restarts that converge leave the pool; the others must still follow
+    the path their stream takes in a pool of one. The row's hit count and
+    median sweeps follow from its restarts run alone."""
     params = SeesawParams(restarts=40, master_seed=0)
     keys = tuple((i,) for i in range(params.restarts))
     for ident in (2, 5, 17, 26, 41):
         expr = catalog_entry(ident).expression
         tensor = expr.tensor().astype(float)
-        batch = _run_batch(tensor, _draws(params.master_seed, keys), params, keep_trace=False)
+        batch = _run_alone(tensor, _draws(params.master_seed, keys), params)
         values, sweeps = [], []
         for i, key in enumerate(keys):
-            alone = _run_batch(tensor, _draws(params.master_seed, (key,)), params, keep_trace=False)
+            alone = _run_alone(tensor, _draws(params.master_seed, (key,)), params)
             assert alone["sweeps"][0] == batch["sweeps"][i]
             assert alone["converged"][0] == batch["converged"][i]
             assert abs(alone["values"][0] - batch["values"][i]) <= _VALUE_TIE_TOL * _scale(tensor)
@@ -163,6 +172,70 @@ def test_restart_alone_equals_restart_in_batch():
         solution = quantum_maximum(expr, params)
         assert solution.hits == sum(v >= best - _MONOTONE_SLACK * _scale(tensor) for v in values)
         assert solution.median_sweeps == np.median(sweeps)
+
+
+# Id 17 has restarts capped at max_sweeps; 11 and 23 a degenerate top eigenspace.
+POOL_IDS = (2, 11, 17, 23, 41)
+
+
+def _pool_fingerprints(solutions):
+    return [_fingerprint(solution) + (solution.hits, solution.median_sweeps)
+            for solution in solutions]
+
+
+def test_pool_equals_each_expression_alone(monkeypatch):
+    """One pool over several expressions gives each the solution it gets
+    alone, bit for bit, also when a pool of 7 slots refills across rows."""
+    params = SeesawParams(restarts=30, max_sweeps=120, master_seed=0)
+    exprs = [catalog_entry(ident).expression for ident in POOL_IDS]
+    alone = [quantum_maximum(expr, params) for expr in exprs]
+    assert alone[POOL_IDS.index(17)].capped_restarts > 0
+    assert _pool_fingerprints(quantum_maxima(exprs, params)) == _pool_fingerprints(alone)
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 7)
+    assert _pool_fingerprints(quantum_maxima(exprs, params)) == _pool_fingerprints(alone)
+
+
+def test_a_decrease_ends_its_row_alone(monkeypatch):
+    """A step that decreases one restart's value fails that expression's
+    entry; the other expressions finish with their own solutions."""
+    params = SeesawParams(restarts=12, master_seed=0)
+    exprs = [catalog_entry(ident).expression for ident in (5, 17, 26)]
+    expected = [_fingerprint(solution) for solution in quantum_maxima(exprs, params)]
+    state_step, target = seesaw._state_step, exprs[1].tensor()
+    sweeps = []
+
+    def sabotaged(tensor, rows, opened=None):
+        values, states = state_step(tensor, rows, opened)
+        sweeps.append(None)
+        if len(sweeps) == 3:
+            # One restart of id 17 in the third sweep.
+            values[np.flatnonzero(np.all(tensor == target, axis=(1, 2, 3)))[0]] -= 1.0
+        return values, states
+
+    monkeypatch.setattr(seesaw, "_state_step", sabotaged)
+    # Ids 5 and 17 share the pool from the start.
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 24)
+    five, seventeen, twenty_six = quantum_maxima(exprs, params)
+    assert isinstance(seventeen, RuntimeError)
+    assert str(seventeen) == "seesaw state step decreased the value"
+    assert [_fingerprint(five), _fingerprint(twenty_six)] == [expected[0], expected[2]]
+
+
+def test_pool_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads):
+    """The pool's eigendecompositions run on one OpenBLAS thread, and the
+    earlier count comes back afterwards."""
+    get = openblas_at_two_threads
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix):
+        seen.append(get())
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    quantum_maxima([catalog_entry(ident).expression for ident in (5, 26)], QUICK)
+    assert seen and set(seen) == {1}
+    assert get() == 2
 
 
 def test_different_seeds_explore_different_starts():
