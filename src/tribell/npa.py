@@ -22,19 +22,19 @@ negative part is the scaled dual, so an iteration costs one
 eigendecomposition, which runs with OpenBLAS held at one thread.
 Safeguarded type-II Anderson acceleration extrapolates that state from
 the last 60 fixed-point residuals, which removes most of ADMM's slow
-linear tail: the 138 catalog solves (46 ids at 1+AB, AQ and Q2) take
-17,518 iterations with this memory, against 19,071 with 40 and 22,592
-with 25. An extrapolation that does not shrink the residual is thrown
-away. The residuals' Gram matrix is updated in place, one row and
-column per new residual, so a memory slot costs one matrix-vector
-product per iteration. The words and class
-structure of a level do not depend on the expression: they are built on
-first use, once per level, and every problem at that level shares the
-same read-only arrays. A problem is its level's structure plus one
-objective weight per class and a constant. The reported bound is the
-objective plus a safety margin of 10 max(tolerance, residuals) times the
-1-norm of the objective weights. The margin is a heuristic, not a
-weak-duality certificate.
+linear tail. An extrapolation that does not shrink the residual is
+thrown away. The residuals' Gram matrix is updated in place, one row
+and column per new residual, so a memory slot costs one matrix-vector
+product per iteration. An objective whose weights exceed 4 in magnitude
+is solved with its weights divided down to that size, since large
+weights unbalance the residuals and stall the extrapolation. The words
+and class structure of a level do not depend on the expression: they
+are built on first use, once per level, and every problem at that level
+shares the same read-only arrays. A problem is its level's structure
+plus one objective weight per class and a constant. The reported bound
+is the objective plus a safety margin of 10 max(tolerance, residuals)
+times the 1-norm of the objective weights. The margin is a heuristic,
+not a weak-duality certificate.
 """
 
 from __future__ import annotations
@@ -178,11 +178,15 @@ _OVER_RELAXATION = 1.5
 _INITIAL_PENALTY = 1.0
 # Anderson acceleration mixes this many past fixed-point residuals; its
 # normal equations get a Tikhonov term of this weight times their trace.
-# Over the 138 catalog solves (46 ids at 1+AB, AQ and Q2, default
-# SdpParams) memories of 10, 15, 20, 25, 40 and 60 took 32,868, 28,149,
-# 25,102, 22,592, 19,071 and 17,518 iterations, and every solve converged.
 _ANDERSON_MEMORY = 60
 _ANDERSON_REGULARIZATION = 1e-12
+# The largest objective weight, in magnitude, that is solved as given.
+# Larger weights are divided down to it: at 1+AB, k ABC + k aBc took 128,
+# 1,262 and 13,234 iterations for k = 1,000, 3,000 and 10,000 unscaled,
+# and takes 17 scaled. Every catalog weight is at most 4, so catalog
+# solves are unscaled; dividing every objective by its largest weight
+# would cost them 37% more iterations.
+_MAX_WEIGHT = 4.0
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,12 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     OpenBLAS, when numpy uses it, is held at one thread for the solve;
     the thread count never changes a result.
 
+    When some weight exceeds ``_MAX_WEIGHT`` (4) in magnitude, the solve
+    runs with every weight divided by max|w| / 4; the optimal moments do
+    not change. The objective, the moment values and the bound are in the
+    caller's units, while the residuals, ``rho`` and the iteration counts
+    belong to the scaled solve.
+
     The primal residual ||X_k - Z_{k+1}|| and dual residual
     rho ||Z_{k+1} - Z_k|| are taken against the last accepted point; both
     must drop below params.tolerance for convergence. ``iterations``
@@ -284,7 +294,8 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     identity = structure.class_index[()]
 
     weights = problem.weights
-    c = (weights / counts)[cell_class].reshape(n, n)
+    units = max(1.0, float(np.abs(weights).max()) / _MAX_WEIGHT)
+    c = (weights / units / counts)[cell_class].reshape(n, n)
 
     def class_means(m: np.ndarray) -> np.ndarray:
         means = np.bincount(cell_class, weights=m.ravel(), minlength=n_classes)

@@ -26,9 +26,17 @@ a restart's path is the same bit for bit whatever else is in the pool:
 :func:`quantum_maximum` and :func:`seesaw_run` are pools of one
 expression. A full pool spreads numpy's per-call overhead thin; what is
 left is mostly the 8x8 ``eigh`` of each live restart, more than half of
-the catalog's seesaw time. The pool holds OpenBLAS at one thread, as the
-moment-matrix solver does, so no call of a sweep depends on the thread
-count that the environment asks for.
+the catalog's seesaw time. The pool is 255 slots wide, the widest whose
+per-sweep arrays (64 float64 per restart) stay under glibc's default
+128 KiB mmap threshold, so malloc reuses heap memory for them from sweep
+to sweep instead of mapping fresh pages that the kernel faults in again:
+an in-process ``tables --restarts 200`` pass takes about 3,000-4,500
+minor faults at 255 slots against 45,000-49,000 at 256 and
+70,000-88,000 at 512, with the same solutions bit for bit. Much
+narrower pools pay more of numpy's per-call overhead again. The pool
+holds OpenBLAS at one thread, as the moment-matrix solver does, so no
+call of a sweep depends on the thread count that the environment asks
+for.
 
 Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
 measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the
@@ -100,9 +108,15 @@ _MONOTONE_SLACK = 1e-9
 # the maximum can sit 30 to 150 eps times the scale below it and do not tie.
 _VALUE_TIE_TOL = 16 * np.finfo(float).eps
 # Restarts in flight at once, over all rows. Each numpy call of a sweep
-# sees this many restarts, which spreads its overhead thin, while the
-# pool's arrays stay a few hundred kilobytes.
-_POOL_WIDTH = 512
+# sees this many restarts, which spreads its overhead thin. A sweep's
+# largest arrays hold 64 float64 per restart (Pauli weights, Bell
+# operators, eigenvectors, outer products, correlation tensors). glibc's
+# malloc maps a request of its mmap threshold (128 KiB by default) or
+# more, chunk header included, afresh, and the kernel faults its pages
+# in again on every sweep. The widest pool whose arrays stay on the heap
+# is one slot short of the threshold's worth of such rows: 255.
+_MMAP_THRESHOLD = 128 * 1024
+_POOL_WIDTH = _MMAP_THRESHOLD // (64 * np.dtype(float).itemsize) - 1
 
 
 @dataclass(frozen=True)

@@ -349,14 +349,32 @@ def test_aq_and_1ab_agree_on_row_44():
 
 
 def test_adaptation_counters():
-    """A large objective unbalances the residuals, so rho adapts; the
-    safeguard rejects some extrapolations on the way. The check at
-    iteration 7 finds the primal residual about 80 times the dual, before
-    any step whose outcome the last bits of the arithmetic decide."""
-    problem = build_moment_problem(parse_expression("1000 ABC + 1000 aBc"), "1+AB")
-    solution = sdp_maximize(problem, SdpParams(adapt_interval=7))
+    """Unbalanced residuals make rho adapt; the safeguard rejects some
+    extrapolations on the way. For id 4 at AQ the check at iteration 20
+    finds the dual residual about 26 times the primal, well past the
+    factor of 10 that adapts rho."""
+    problem = build_moment_problem(catalog_entry(4).expression, "AQ")
+    solution = sdp_maximize(problem, SdpParams(adapt_interval=20))
     assert solution.status == "converged"
-    assert solution.objective_value == pytest.approx(2000.0, abs=1e-6)
+    assert solution.objective_value == pytest.approx(
+        sdp_maximize(problem, QUICK_SDP).objective_value, abs=1e-6)
     assert solution.penalty_updates >= 1
     assert solution.rejected_steps >= 1
     assert solution.rejected_steps < solution.iterations
+
+
+@pytest.mark.parametrize("k", [10, 1000, 10000])
+def test_large_weights_are_solved_scaled(k):
+    """Weights above 4 in magnitude are divided down to 4 for the solve,
+    so the iteration count does not grow with them (unscaled, k = 10,000
+    took 13,234 iterations); the objective and bound are in the caller's
+    units. The maximum of k ABC + k aBc is 2k."""
+    problem = build_moment_problem(parse_expression(f"{k} ABC + {k} aBc"), "1+AB")
+    solution = sdp_maximize(problem)
+    assert solution.status == "converged"
+    assert solution.iterations <= 50
+    margin = rigor_margin(problem, solution)
+    assert solution.bound == solution.objective_value + margin
+    assert abs(solution.objective_value - 2 * k) <= margin
+    assert solution.bound >= 2 * k
+    assert solution.moment_values[((1, 1), (2, 1), (3, 1))] == pytest.approx(1.0, abs=1e-6)
