@@ -8,14 +8,25 @@ party 1, B/b for party 2 and C/c for party 3, so ``"2 AB - abc"`` stands
 for ``2<A B> - <a b c>``.
 
 The embedded catalog holds the 46 tight inequalities of this scenario in
-Sliwa's enumeration together with their local maxima.
+Sliwa's enumeration together with their local maxima. It and the
+reference table of :mod:`tribell.fixtures` are checked on every load
+against a CRC-32 of their text as read (:func:`read_checked_table`).
+The check guards package data against accidental damage: whoever edits a
+table on purpose can update the constant beside it too, so a
+cryptographic digest would buy nothing. CRC-32 catches every change
+confined to 32 bits or fewer and any other random change with probability
+1 - 2**-32. It comes from ``zlib``, which numpy already imports, whereas
+``hashlib`` would load OpenSSL's libcrypto (about 3.5 MB of memory) into
+processes that need nothing else of it. Commands that run the seesaw
+(``qmax``, ``tables``) still load OpenSSL: its restarts draw from
+``numpy.random``, which imports ``hashlib`` through ``secrets``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 import re
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -48,7 +59,7 @@ _SLOT_LETTER = {(party, setting): letter for letter, (party, setting) in _LETTER
 CATALOG_IDS = range(1, 47)
 
 _CATALOG_RESOURCE = "data/sliwa_catalog.txt"
-_CATALOG_SHA256 = "51d6829afa2c1e6638caa2eb3e5e877e098f10d6faf5abf55d2ddcecf699e909"
+_CATALOG_CRC32 = "14b70b96"
 
 
 class BellParseError(ValueError):
@@ -291,18 +302,18 @@ def substitute_identity(
     return BellExpression(merged)
 
 
-def read_checked_table(resource: str, sha256: str, name: str, error: type, parse_row):
+def read_checked_table(resource: str, crc32: str, name: str, error: type, parse_row):
     """Rows of an embedded table, one per catalog id, in id order.
 
-    The text must hash to ``sha256``; blank lines and ``#`` comments are
-    skipped and each other line, stripped, goes to ``parse_row``, whose
-    results carry an ``id``. A wrong checksum or id sequence raises
+    The CRC-32 of the text as read, as 8 lowercase hex digits, must equal
+    ``crc32``; blank lines and ``#`` comments are skipped and each other
+    line, stripped, goes to ``parse_row``, whose results carry an ``id``. A wrong checksum or id sequence raises
     ``error``, with messages that start with ``name``.
     """
     text = resources.files(__package__).joinpath(resource).read_text(encoding="utf-8")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    if digest != sha256:
-        raise error(f"{name} checksum mismatch: expected {sha256}, got {digest}")
+    digest = format(zlib.crc32(text.encode("utf-8")), "08x")
+    if digest != crc32:
+        raise error(f"{name} checksum mismatch: expected {crc32}, got {digest}")
     lines = (line.strip() for line in text.splitlines())
     rows = tuple(parse_row(line) for line in lines if line and not line.startswith("#"))
     if [row.id for row in rows] != list(CATALOG_IDS):
@@ -323,7 +334,7 @@ def _parse_catalog_row(line: str) -> CatalogEntry:
 @lru_cache(maxsize=1)
 def load_catalog() -> tuple[CatalogEntry, ...]:
     """All 46 catalog entries, ordered by id, checksum-verified."""
-    return read_checked_table(_CATALOG_RESOURCE, _CATALOG_SHA256, "catalog",
+    return read_checked_table(_CATALOG_RESOURCE, _CATALOG_CRC32, "catalog",
                               CatalogIntegrityError, _parse_catalog_row)
 
 

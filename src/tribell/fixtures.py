@@ -1,6 +1,7 @@
 """Optimal states and measurements for the 46 inequalities, with targets.
 
-The package ships a checksum-guarded text table holding, per inequality,
+The package ships a text table, checked on every load against a CRC-32
+of its text as read (see :mod:`tribell.bell_expr`), holding, per inequality,
 the optimal quantum value, a symbolic recipe for the optimal state and the
 six optimal observables, the expected monotone profile, and the expected
 class assignments. This module parses those recipes into concrete
@@ -58,7 +59,7 @@ AQ_TOL = 2e-3
 AQ_ANOMALY_IDS = (23, 41)
 
 _TABLE_RESOURCE = "data/reference_tables.txt"
-_TABLE_SHA256 = "fe8ac6d41faace7c722026d770ca7afe6ba8eefc097d1d355c113cbf881158fc"
+_TABLE_CRC32 = "160c64e6"
 
 # Closed-form constants appearing in the optimal measurement angles.
 F_ANGLE = (5.0 - math.sqrt(17.0)) / 4.0
@@ -289,7 +290,7 @@ def _parse_row(line: str) -> FixtureRecord:
 @lru_cache(maxsize=1)
 def load_reference_table() -> tuple[FixtureRecord, ...]:
     """All 46 reference rows, ordered by id, checksum-verified."""
-    return read_checked_table(_TABLE_RESOURCE, _TABLE_SHA256, "reference table",
+    return read_checked_table(_TABLE_RESOURCE, _TABLE_CRC32, "reference table",
                               FixtureIntegrityError, _parse_row)
 
 

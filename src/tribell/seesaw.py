@@ -29,14 +29,11 @@ left is mostly the 8x8 ``eigh`` of each live restart, more than half of
 the catalog's seesaw time. The pool is 255 slots wide, the widest whose
 per-sweep arrays (64 float64 per restart) stay under glibc's default
 128 KiB mmap threshold, so malloc reuses heap memory for them from sweep
-to sweep instead of mapping fresh pages that the kernel faults in again:
-an in-process ``tables --restarts 200`` pass takes about 3,000-4,500
-minor faults at 255 slots against 45,000-49,000 at 256 and
-70,000-88,000 at 512, with the same solutions bit for bit. Much
-narrower pools pay more of numpy's per-call overhead again. The pool
-holds OpenBLAS at one thread, as the moment-matrix solver does, so no
-call of a sweep depends on the thread count that the environment asks
-for.
+to sweep instead of mapping fresh pages that the kernel faults in again;
+the width does not change the solutions. Much narrower pools pay more of
+numpy's per-call overhead again. The pool holds OpenBLAS at one thread,
+as the moment-matrix solver does, so no call of a sweep depends on the
+thread count that the environment asks for.
 
 Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
 measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the

@@ -1,9 +1,13 @@
 import math
+import shutil
 import time
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import tribell.bell_expr as bell_expr
+import tribell.fixtures as fixtures
 import tribell.qcore as qcore
 from tribell.bell_expr import CATALOG_IDS, catalog_entry
 from tribell.npa import SdpParams
@@ -81,3 +85,17 @@ def openblas_at_two_threads():
         yield get
     finally:
         set_(original)
+
+
+@pytest.fixture
+def table_copies(tmp_path, monkeypatch):
+    """The package's ``data`` directory copied under ``tmp_path``, which
+    both embedded tables are read from for the test; returns the copy.
+    The table caches are cleared before and after."""
+    shutil.copytree(resources.files("tribell").joinpath("data"), tmp_path / "data")
+    monkeypatch.setattr(bell_expr.resources, "files", lambda package: tmp_path)
+    bell_expr.load_catalog.cache_clear()
+    fixtures.load_reference_table.cache_clear()
+    yield tmp_path / "data"
+    bell_expr.load_catalog.cache_clear()
+    fixtures.load_reference_table.cache_clear()

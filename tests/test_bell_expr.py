@@ -1,10 +1,13 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tribell.bell_expr as bell_expr
+import tribell.fixtures as fixtures
 from tribell.bell_expr import (
     BellExpression,
     BellParseError,
@@ -184,12 +187,51 @@ def test_catalog_checksum_guard(monkeypatch):
     import tribell.bell_expr as mod
 
     load_catalog.cache_clear()
-    monkeypatch.setattr(mod, "_CATALOG_SHA256", "0" * 64)
+    monkeypatch.setattr(mod, "_CATALOG_CRC32", "0" * 8)
     try:
         with pytest.raises(CatalogIntegrityError):
             load_catalog()
     finally:
         load_catalog.cache_clear()
+
+
+# Per embedded table: its module, checksum constant, file, loader and error.
+CHECKED_TABLES = {
+    "catalog": (bell_expr, "_CATALOG_CRC32", "sliwa_catalog.txt", load_catalog,
+                CatalogIntegrityError),
+    "reference table": (fixtures, "_TABLE_CRC32", "reference_tables.txt",
+                        fixtures.load_reference_table, fixtures.FixtureIntegrityError),
+}
+
+
+@pytest.mark.parametrize("table, row, damaged", [
+    ("catalog", "41;7;A + B + AB + C + aC - 3 ABC", "41;7;A + B + AB + C + aC - 2 ABC"),
+    ("reference table", "3;closed;2*sqrt(2);", "3;closed;3*sqrt(2);"),
+], ids=list(CHECKED_TABLES))
+def test_checksum_covers_the_text(table, row, damaged, table_copies):
+    """One digit of a row changed, under the shipped checksum."""
+    _, _, filename, load, error = CHECKED_TABLES[table]
+    path = table_copies / filename
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n" + row) == 1
+    path.write_text(text.replace("\n" + row, "\n" + damaged), encoding="utf-8")
+    with pytest.raises(error, match=f"^{table} checksum mismatch"):
+        load()
+
+
+@pytest.mark.parametrize("table", CHECKED_TABLES)
+def test_tables_must_hold_ids_in_order(table, table_copies, monkeypatch):
+    """Rows 2 and 3 swapped, under a checksum that matches the swap."""
+    module, constant, filename, load, error = CHECKED_TABLES[table]
+    path = table_copies / filename
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    second, third = (i for i, line in enumerate(lines) if line.startswith(("2;", "3;")))
+    lines[second], lines[third] = lines[third], lines[second]
+    text = "".join(lines)
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(module, constant, format(zlib.crc32(text.encode("utf-8")), "08x"))
+    with pytest.raises(error, match=f"^{table} must hold ids 1..46 in order$"):
+        load()
 
 
 def test_catalog_source_preserves_published_order():

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,7 +337,7 @@ def test_tables_integrity_failure_is_one_error(capsys, monkeypatch):
     import tribell.fixtures as fixtures
 
     fixtures.load_reference_table.cache_clear()
-    monkeypatch.setattr(fixtures, "_TABLE_SHA256", "0" * 64)
+    monkeypatch.setattr(fixtures, "_TABLE_CRC32", "0" * 8)
     try:
         code, out, err = run(capsys, "tables", "--restarts", "2")
     finally:
@@ -342,6 +346,28 @@ def test_tables_integrity_failure_is_one_error(capsys, monkeypatch):
     assert err.startswith("error: ")
     assert err.count("checksum mismatch") == 1
     assert "id " not in out
+
+
+def test_moment_matrix_process_loads_no_openssl():
+    """Loading both checked tables, an NPA solve and ``list`` import
+    neither OpenSSL (through ``hashlib``) nor ``numpy.random``."""
+    script = """
+import sys
+import tribell.cli as cli
+from tribell import bell_expr, fixtures, npa
+bell_expr.load_catalog()
+fixtures.load_reference_table()
+assert abs(npa.npa_upper_bound(bell_expr.parse_expression("AB + Ab + aB - ab"), "AQ")
+           - 2 * 2 ** 0.5) < 1e-6
+assert cli.main(["list"]) == 0
+print(sorted({"_hashlib", "numpy.random"} & set(sys.modules)))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_tables_prints_npa_bounds(capsys, tmp_path):

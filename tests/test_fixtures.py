@@ -154,7 +154,7 @@ def test_table_checksum_guard(monkeypatch):
     import tribell.fixtures as mod
 
     load_reference_table.cache_clear()
-    monkeypatch.setattr(mod, "_TABLE_SHA256", "0" * 64)
+    monkeypatch.setattr(mod, "_TABLE_CRC32", "0" * 8)
     try:
         with pytest.raises(FixtureIntegrityError):
             load_reference_table()
