@@ -35,6 +35,19 @@ numpy's per-call overhead again. The pool holds OpenBLAS at one thread,
 as the moment-matrix solver does, so no call of a sweep depends on the
 thread count that the environment asks for.
 
+A large pool runs as ``k`` shares, one process each: ``k`` is the number
+of usable CPUs, but at most the number of whole pools the entries fill
+and at most the restart count, and 1 where ``os.fork`` is missing. Share
+``j`` takes a contiguous block of every row's restart indices. The
+calling process runs share 0, and children made with ``os.fork`` run the
+others and send each row's results back over a pipe as they finish it.
+A row's results are joined in restart order before its best restart is
+chosen, and a restart's path does not depend on what else is in its
+pool, so the solutions and restart statistics do not depend on ``k``.
+The shares are processes, not threads: a sweep is many small numpy
+calls that hold the interpreter lock, so threads would mostly take
+turns.
+
 Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
 measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the
 Bell operators built from the rows, and the observable steps read every
@@ -61,9 +74,15 @@ un-rotated run.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import os
+import pickle
+import selectors
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,11 +214,14 @@ def quantum_maximum(expr: BellExpression, params: SeesawParams = SeesawParams())
 
 
 def quantum_maxima(exprs, params: SeesawParams = SeesawParams()) -> list[Solution | RuntimeError]:
-    """``quantum_maximum`` of each expression, all run through one restart pool.
+    """``quantum_maximum`` of each expression, all run through one restart
+    pool, split into one process per usable CPU when the pool is large.
 
     Each entry is the expression's solution, or the RuntimeError of a step
     that decreased the value of one of its restarts: that expression's
-    runs stop there, and the others finish.
+    runs stop there, and the others finish. When that happens in several
+    shares of the pool, the error of the share with the lowest restarts
+    stands. A share's process that dies makes the call raise RuntimeError.
     """
     keys = tuple((i,) for i in range(params.restarts))
     return _maxima(exprs, _draws(params.master_seed, keys), params, keep_trace=False)
@@ -214,12 +236,155 @@ def _raised(result):
 
 @_one_blas_thread
 def _maxima(exprs, draws, params, keep_trace):
-    """One pool over ``exprs``, each row's entry built as the row finishes."""
+    """One pool over ``exprs``, run as ``_share_count`` shares; each row's
+    entry is built once every share has finished the row.
+
+    Share ``j`` runs a contiguous block of every row's restart indices.
+    The calling process runs share 0, and forked children run the others
+    and stream their rows back as they finish them.
+    """
     tensors = np.array([expr.tensor() for expr in exprs], dtype=float).reshape(-1, 3, 3, 3)
+    restarts = len(draws[1])
+    count = _share_count(len(tensors), restarts)
+    bounds = [restarts * share // count for share in range(count + 1)]
+    shares = [tuple(array[lo:hi] for array in draws) for lo, hi in zip(bounds, bounds[1:])]
+    parts = [{} for _ in tensors]
     results = [None] * len(tensors)
-    for row, run in _pool(tensors, draws, params, keep_trace):
-        results[row] = run if isinstance(run, RuntimeError) else _best_solution(run)
+
+    def take(received):
+        for share, row, run in received:
+            parts[row][share] = run
+            if len(parts[row]) == count:
+                merged = _merge([parts[row][j] for j in range(count)])
+                parts[row] = None
+                results[row] = merged if isinstance(merged, RuntimeError) else _best_solution(merged)
+
+    with _forked(tensors, shares[1:], params, keep_trace) as received:
+        # Rows are read as they arrive, sweep by sweep, so that no child
+        # waits on a full pipe while this share runs.
+        for row, run in _pool(tensors, shares[0], params, keep_trace,
+                              after_sweep=lambda: take(received(block=False))):
+            take([(0, row, run)])
+        take(received(block=True))
     return results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _share_count(rows: int, restarts: int) -> int:
+    """Processes to run a pool of ``rows`` times ``restarts`` entries in:
+    one per usable CPU, as long as every share fills the pool at least
+    once and holds at least one restart of every row."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), rows * restarts // _POOL_WIDTH, restarts))
+
+
+def _merge(parts):
+    """A row's run from its shares' runs, joined in restart order. When
+    shares failed the row, the lowest share's error stands for it."""
+    errors = [part for part in parts if isinstance(part, RuntimeError)]
+    if errors:
+        return errors[0]
+    if len(parts) == 1:
+        return parts[0]
+    run = dict(parts[0])
+    for key in ("states", "rows", "values", "sweeps", "converged"):
+        run[key] = np.concatenate([part[key] for part in parts])
+    if run["traces"] is not None:
+        run["traces"] = [trace for part in parts for trace in part["traces"]]
+    return run
+
+
+@contextlib.contextmanager
+def _forked(tensors, shares, params, keep_trace):
+    """Run shares 1, 2, ... of a pool in forked children.
+
+    Yields ``received(block)``, which yields ``(share, row, run)`` for
+    each row the children have sent: those already in the pipes, or with
+    ``block`` every one to come. A child is reaped once its pipe closes,
+    and a child that exits other than with status 0 raises RuntimeError.
+    Leaving the block kills and reaps every child still running.
+    """
+    children = {}  # read end of a child's pipe -> [share, pid, unread bytes]
+    selector = selectors.DefaultSelector()
+    try:
+        for share, draws in enumerate(shares, start=1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if not pid:
+                for fd in (read, *children):
+                    os.close(fd)
+                _run_share(write, tensors, draws, params, keep_trace)
+            os.close(write)
+            children[read] = [share, pid, bytearray()]
+        for fd in children:
+            selector.register(fd, selectors.EVENT_READ)
+        yield functools.partial(_received, selector, children)
+    finally:
+        selector.close()
+        for fd, (_, pid, _) in children.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_share(write, tensors, draws, params, keep_trace):
+    """A forked child's whole life: run one share's pool and write each
+    finished row to the pipe ``write`` as a length-prefixed pickle.
+
+    The child leaves only through ``os._exit``, with status 0 once every
+    row is written: it runs no atexit handler, flushes no stdio buffer
+    inherited from its parent and never returns into its caller.
+    """
+    status = 1
+    try:
+        with open(write, "wb") as pipe:
+            for row, run in _pool(tensors, draws, params, keep_trace):
+                frame = pickle.dumps((row, run), protocol=pickle.HIGHEST_PROTOCOL)
+                pipe.write(len(frame).to_bytes(8, "little"))
+                pipe.write(frame)
+        status = 0
+    except Exception:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _received(selector, children, block):
+    """The rows in the children's pipes; see :func:`_forked`."""
+    while children:
+        for key, _ in selector.select(None if block else 0):
+            share, pid, unread = children[key.fd]
+            chunk = os.read(key.fd, 1 << 16)
+            unread += chunk
+            while len(unread) >= 8:
+                end = 8 + int.from_bytes(unread[:8], "little")
+                if len(unread) < end:
+                    break
+                yield (share, *pickle.loads(unread[8:end]))
+                del unread[:end]
+            if not chunk:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                selector.unregister(key.fd)
+                os.close(key.fd)
+                del children[key.fd]
+                if code:
+                    how = f"exit status {code}" if code > 0 else f"signal {-code}"
+                    raise RuntimeError(f"seesaw share {share} ended with {how}")
+        if not block:
+            return
 
 
 def _best_solution(run) -> Solution:
@@ -378,7 +543,7 @@ def _new_run(tensor, restarts: int, keep_trace: bool) -> dict:
             "scale": scale, "slack": _MONOTONE_SLACK * scale, "left": restarts}
 
 
-def _pool(tensors, draws, params, keep_trace):
+def _pool(tensors, draws, params, keep_trace, after_sweep=lambda: None):
     """Every row's restarts, run through one pool of ``_POOL_WIDTH`` slots.
 
     ``tensors`` is an (m, 3, 3, 3) stack of coefficient tensors, and every
@@ -388,7 +553,8 @@ def _pool(tensors, draws, params, keep_trace):
     of the next sweep. Yields ``(row, run)`` once a row's last restart has
     left: ``run`` holds its per-restart results, or is the RuntimeError of
     a step that decreased one of its restarts' values, which ends that
-    row's restarts and no other's.
+    row's restarts and no other's. ``after_sweep`` is called after every
+    sweep.
     """
     moments, gauged = draws
     restarts = len(gauged)
@@ -427,6 +593,7 @@ def _pool(tensors, draws, params, keep_trace):
                     failed.setdefault(row, RuntimeError(f"seesaw {step} step decreased the value"))
         live["value"] = value
         live["sweeps"] += 1
+        after_sweep()
 
         if keep_trace:
             for row, i, v in zip(live["row"].tolist(), live["restart"].tolist(), value.tolist()):

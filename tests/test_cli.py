@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tribell.cli as cli
+from tribell import seesaw
 from tribell.bell_expr import catalog_entry, load_catalog
 from tribell.cli import main
 from tribell.fixtures import fixture_record
@@ -256,6 +257,22 @@ def test_tables_full_run(capsys, tmp_path):
         rows = list(csv.reader(handle))
     assert len(rows) == 47
     assert rows[0][0] == "id"
+
+
+def test_tables_report_does_not_depend_on_the_share_count(capsys, tmp_path, monkeypatch):
+    """The report's seesaw pool run in one process and split over two
+    gives the same output and report, its run time aside."""
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(seesaw, "_usable_cpus", lambda: cpus)
+        assert seesaw._share_count(46, 20) == cpus
+        out_path = tmp_path / f"report-{cpus}.json"
+        code, out, _ = run(capsys, "tables", "--restarts", "20", "--out", str(out_path))
+        report = json.loads(out_path.read_text())
+        report["metadata"].pop("duration_seconds")
+        runs.append((code, out, report))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
 
 
 def test_tables_detects_mismatches(capsys, monkeypatch):

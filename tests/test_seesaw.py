@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,175 @@ def test_a_decrease_ends_its_row_alone(monkeypatch):
     assert isinstance(seventeen, RuntimeError)
     assert str(seventeen) == "seesaw state step decreased the value"
     assert [_fingerprint(five), _fingerprint(twenty_six)] == [expected[0], expected[2]]
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_share_count_rule(monkeypatch):
+    """One share per usable CPU, as long as every share fills the pool at
+    least once and holds a restart of every row; one where ``os.fork`` is
+    missing."""
+    monkeypatch.setattr(seesaw, "_usable_cpus", lambda: 4)
+    assert seesaw._share_count(46, 200) == 4  # tables --restarts 200: 9,200 entries
+    assert seesaw._share_count(46, 20) == 3  # 920 entries, 3 pools of 255
+    assert seesaw._share_count(46, 5) == 1
+    assert seesaw._share_count(1, 200) == 1  # qmax at 200 restarts
+    assert seesaw._share_count(1, 1) == 1  # seesaw_run
+    assert seesaw._share_count(600, 2) == 2  # at most one share per restart
+    monkeypatch.delattr(os, "fork")
+    assert seesaw._share_count(46, 200) == 1
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert seesaw._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert seesaw._usable_cpus() == 1
+
+
+def test_share_count_changes_no_bit(monkeypatch):
+    """The pool run as 1, 2 or 3 forked shares gives every row the same
+    solution and restart statistics, bit for bit, and leaves no process
+    behind. Id 17's capped restarts fall into several shares."""
+    params = SeesawParams(restarts=30, max_sweeps=120, master_seed=0)
+    exprs = [catalog_entry(ident).expression for ident in POOL_IDS]
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 7)
+    found = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(seesaw, "_usable_cpus", lambda: cpus)
+        assert seesaw._share_count(len(exprs), params.restarts) == cpus
+        found.append(_pool_fingerprints(quantum_maxima(exprs, params)))
+        _assert_no_children()
+    assert found[1] == found[0]
+    assert found[2] == found[0]
+
+
+def _sabotage_shares(monkeypatch, params, target, steps):
+    """At its third sweep, the share whose first restart is a key of
+    ``steps`` reports that step as lowering one restart of the row whose
+    tensor is ``target``. Each share runs in its own process, so each
+    keeps its own count."""
+    moments = _draws(params.master_seed, tuple((i,) for i in range(params.restarts)))[0]
+    pool, sweep = seesaw._pool, seesaw._sweep
+    mine = {}
+
+    def share_pool(tensors, draws, *args, **kwargs):
+        start = int(np.flatnonzero(np.all(moments == draws[0][0], axis=1))[0])
+        mine.update(step=steps.get(start), sweeps=0)
+        return pool(tensors, draws, *args, **kwargs)
+
+    def sabotaged(tensor, rows, before, slack):
+        value, psi, lowered = sweep(tensor, rows, before, slack)
+        mine["sweeps"] += 1
+        if mine["step"] and mine["sweeps"] == 3:
+            lowered[mine["step"]][np.flatnonzero(np.all(tensor == target, axis=(1, 2, 3)))[0]] = True
+        return value, psi, lowered
+
+    monkeypatch.setattr(seesaw, "_pool", share_pool)
+    monkeypatch.setattr(seesaw, "_sweep", sabotaged)
+
+
+@pytest.mark.parametrize("cpus, steps, step", [
+    (2, {6: "observable"}, "observable"),
+    (3, {4: "observable", 8: "state"}, "observable"),
+    (3, {0: "state", 8: "observable"}, "state"),
+])
+def test_a_decrease_in_any_share_ends_its_row_alone(monkeypatch, cpus, steps, step):
+    """A decrease in a child's share fails that row alone, as one in the
+    parent's does. When several shares fail a row, the lowest share's
+    error stands for it."""
+    params = SeesawParams(restarts=12, master_seed=0)
+    exprs = [catalog_entry(ident).expression for ident in (5, 17, 26)]
+    expected = [_fingerprint(solution) for solution in quantum_maxima(exprs, params)]
+    # Every share holds all three rows' restarts from its first sweep.
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 12)
+    monkeypatch.setattr(seesaw, "_usable_cpus", lambda: cpus)
+    _sabotage_shares(monkeypatch, params, exprs[1].tensor(), steps)
+    five, seventeen, twenty_six = quantum_maxima(exprs, params)
+    _assert_no_children()
+    assert isinstance(seventeen, RuntimeError)
+    assert str(seventeen) == f"seesaw {step} step decreased the value"
+    assert [_fingerprint(five), _fingerprint(twenty_six)] == [expected[0], expected[2]]
+
+
+def test_a_dead_child_fails_the_call(monkeypatch):
+    """A child that dies makes the whole call raise, naming its exit
+    status, and returns no rows."""
+    params = SeesawParams(restarts=12, master_seed=0)
+    exprs = [catalog_entry(ident).expression for ident in (5, 17, 26)]
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 12)
+    monkeypatch.setattr(seesaw, "_usable_cpus", lambda: 3)
+    parent, sweep = os.getpid(), seesaw._sweep
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return sweep(*args)
+
+    monkeypatch.setattr(seesaw, "_sweep", dying)
+    with pytest.raises(RuntimeError, match=r"^seesaw share [12] ended with exit status 3$"):
+        quantum_maxima(exprs, params)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_an_error_in_the_parent_share_kills_the_children(monkeypatch, error):
+    params = SeesawParams(restarts=30, master_seed=0)
+    exprs = [catalog_entry(ident).expression for ident in POOL_IDS]
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 7)
+    monkeypatch.setattr(seesaw, "_usable_cpus", lambda: 2)
+    parent, sweep, sweeps = os.getpid(), seesaw._sweep, []
+
+    def failing(*args):
+        if os.getpid() == parent:
+            sweeps.append(None)
+            if len(sweeps) == 2:
+                raise error("in the parent's share")
+        return sweep(*args)
+
+    monkeypatch.setattr(seesaw, "_sweep", failing)
+    with pytest.raises(error, match="in the parent's share"):
+        quantum_maxima(exprs, params)
+    _assert_no_children()
+
+
+def test_a_child_leaves_only_through_exit():
+    """A child runs no atexit handler, flushes no stdout buffer it
+    inherited and never returns into its caller, whether its share ends
+    or fails."""
+    script = """
+import atexit, os, sys
+from tribell import seesaw
+from tribell.bell_expr import catalog_entry
+seesaw._POOL_WIDTH = 7
+seesaw._usable_cpus = lambda: 2
+atexit.register(print, "atexit")
+sys.stdout.write("buffered ")
+exprs = [catalog_entry(ident).expression for ident in (2, 5)]
+params = seesaw.SeesawParams(restarts=20, master_seed=0)
+seesaw.quantum_maxima(exprs, params)
+parent, sweep = os.getpid(), seesaw._sweep
+def failing(*args):
+    if os.getpid() != parent:
+        raise ValueError("a child's share failed")
+    return sweep(*args)
+seesaw._sweep = failing
+try:
+    seesaw.quantum_maxima(exprs, params)
+except RuntimeError as err:
+    print(err)
+"""
+    src = str(Path(seesaw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "buffered seesaw share 1 ended with exit status 1\natexit\n"
+    assert done.stderr.count("ValueError: a child's share failed") == 1
 
 
 def test_pool_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads):
