@@ -221,7 +221,8 @@ def quantum_maxima(exprs, params: SeesawParams = SeesawParams()) -> list[Solutio
     that decreased the value of one of its restarts: that expression's
     runs stop there, and the others finish. When that happens in several
     shares of the pool, the error of the share with the lowest restarts
-    stands. A share's process that dies makes the call raise RuntimeError.
+    stands. A share's process that dies makes the call raise RuntimeError,
+    which names the lowest share whose process died.
     """
     keys = tuple((i,) for i in range(params.restarts))
     return _maxima(exprs, _draws(params.master_seed, keys), params, keep_trace=False)
@@ -308,9 +309,10 @@ def _forked(tensors, shares, params, keep_trace):
 
     Yields ``received(block)``, which yields ``(share, row, run)`` for
     each row the children have sent: those already in the pipes, or with
-    ``block`` every one to come. A child is reaped once its pipe closes,
-    and a child that exits other than with status 0 raises RuntimeError.
-    Leaving the block kills and reaps every child still running.
+    ``block`` every one to come. A child is reaped once its pipe closes.
+    Once a child exits other than with status 0, ``received`` waits for
+    the others to exit and raises RuntimeError for the lowest share that
+    failed. Leaving the block kills and reaps every child still running.
     """
     children = {}  # read end of a child's pipe -> [share, pid, unread bytes]
     selector = selectors.DefaultSelector()
@@ -363,12 +365,22 @@ def _run_share(write, tensors, draws, params, keep_trace):
 
 
 def _received(selector, children, block):
-    """The rows in the children's pipes; see :func:`_forked`."""
+    """The rows in the children's pipes; see :func:`_forked`.
+
+    Once a child has failed, the other children are left to exit on their
+    own, their rows dropped: one killed early would end with a status
+    that depends on timing. The error then names the lowest share that
+    failed, whichever the selector reported first.
+    """
+    failures = {}  # share -> how its child ended
     while children:
-        for key, _ in selector.select(None if block else 0):
+        for key, _ in selector.select(None if block or failures else 0):
             share, pid, unread = children[key.fd]
             chunk = os.read(key.fd, 1 << 16)
-            unread += chunk
+            if failures:
+                unread.clear()
+            else:
+                unread += chunk
             while len(unread) >= 8:
                 end = 8 + int.from_bytes(unread[:8], "little")
                 if len(unread) < end:
@@ -381,10 +393,12 @@ def _received(selector, children, block):
                 os.close(key.fd)
                 del children[key.fd]
                 if code:
-                    how = f"exit status {code}" if code > 0 else f"signal {-code}"
-                    raise RuntimeError(f"seesaw share {share} ended with {how}")
-        if not block:
+                    failures[share] = f"exit status {code}" if code > 0 else f"signal {-code}"
+        if not block and not failures:
             return
+    if failures:
+        share = min(failures)
+        raise RuntimeError(f"seesaw share {share} ended with {failures[share]}")
 
 
 def _best_solution(run) -> Solution:
@@ -559,6 +573,12 @@ def _pool(tensors, draws, params, keep_trace, after_sweep=lambda: None):
     moments, gauged = draws
     restarts = len(gauged)
     runs, failed = {}, {}
+    # Rows are found here without numpy's set routines: in numpy 2.4
+    # ``np.unique`` imports ``numpy.ma``, over a megabyte that the pool
+    # would load for nothing. The live restarts stay in entry order, so
+    # their rows never decrease and ``dict.fromkeys`` lists the distinct
+    # ones in ascending order, as ``np.unique`` would.
+    dead_rows = np.zeros(len(tensors), dtype=bool)
     queue = ((row, i) for row in range(len(tensors)) for i in range(restarts)
              if row not in failed)
     # The live restarts, contiguous and in entry order. Each carries its
@@ -589,8 +609,9 @@ def _pool(tensors, draws, params, keep_trace, after_sweep=lambda: None):
         value, psi, lowered = _sweep(live["tensor"], live["rows"], before, live["slack"])
         for step, down in lowered.items():
             if down.any():
-                for row in np.unique(live["row"][down]).tolist():
+                for row in dict.fromkeys(live["row"][down].tolist()):
                     failed.setdefault(row, RuntimeError(f"seesaw {step} step decreased the value"))
+                    dead_rows[row] = True
         live["value"] = value
         live["sweeps"] += 1
         after_sweep()
@@ -598,13 +619,13 @@ def _pool(tensors, draws, params, keep_trace, after_sweep=lambda: None):
         if keep_trace:
             for row, i, v in zip(live["row"].tolist(), live["restart"].tolist(), value.tolist()):
                 runs[row]["traces"][i].append(v)
-        dead = np.isin(live["row"], list(failed))
-        for row in np.unique(live["row"][dead]).tolist():
+        dead = dead_rows[live["row"]]
+        for row in dict.fromkeys(live["row"][dead].tolist()):
             del runs[row]
             yield row, failed[row]
         done = value - before < params.convergence_tol
         leaving = (done | (live["sweeps"] >= params.max_sweeps)) & ~dead
-        for row in np.unique(live["row"][leaving]).tolist():
+        for row in dict.fromkeys(live["row"][leaving].tolist()):
             mine = leaving & (live["row"] == row)
             run, restart = runs[row], live["restart"][mine]
             run["states"][restart] = psi[mine]

@@ -387,6 +387,23 @@ print(sorted({"_hashlib", "numpy.random"} & set(sys.modules)))
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_seesaw_process_loads_no_numpy_ma():
+    """A seesaw run leaves ``numpy.ma`` unloaded: the restart pool finds
+    its rows without ``np.unique``, which imports it."""
+    script = """
+import sys
+import tribell.cli as cli
+assert cli.main(["qmax", "43", "--restarts", "5"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_tables_prints_npa_bounds(capsys, tmp_path):
     """Each row lists the requested levels' bounds in the order given: Q1
     is skipped (-) on every row, as each has three-body terms, and a solve

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -206,7 +207,7 @@ def test_catalog_pool_stays_small():
     """The pool's per-sweep arrays stay under malloc's mmap threshold: over
     the catalog at 40 restarts the traced allocation peak is about 0.9 MB,
     against 1.75 MB at 512 slots. A one-sweep run first fills the draw
-    cache and the kernel table and makes numpy's lazy imports."""
+    cache and the kernel table."""
     exprs = [catalog_entry(ident).expression for ident in CATALOG_IDS]
     quantum_maxima(exprs, SeesawParams(restarts=40, max_sweeps=1, master_seed=0))
     tracemalloc.start()
@@ -337,22 +338,33 @@ def test_a_decrease_in_any_share_ends_its_row_alone(monkeypatch, cpus, steps, st
     assert [_fingerprint(five), _fingerprint(twenty_six)] == [expected[0], expected[2]]
 
 
-def test_a_dead_child_fails_the_call(monkeypatch):
+@pytest.mark.parametrize("dead, named", [((1, 2), 1), ((2,), 2)], ids=["both", "second"])
+def test_a_dead_child_fails_the_call(monkeypatch, dead, named):
     """A child that dies makes the whole call raise, naming its exit
-    status, and returns no rows."""
+    status, and returns no rows. When several die, the error names the
+    lowest of their shares, not the one the parent hears of first: share
+    1 dies after share 2."""
     params = SeesawParams(restarts=12, master_seed=0)
     exprs = [catalog_entry(ident).expression for ident in (5, 17, 26)]
     monkeypatch.setattr(seesaw, "_POOL_WIDTH", 12)
     monkeypatch.setattr(seesaw, "_usable_cpus", lambda: 3)
-    parent, sweep = os.getpid(), seesaw._sweep
+    parent, sweep, fork, forks = os.getpid(), seesaw._sweep, os.fork, []
+
+    def counted_fork():
+        # A child's share is the number of forks up to its own.
+        forks.append(None)
+        return fork()
 
     def dying(*args):
-        if os.getpid() != parent:
+        if os.getpid() != parent and len(forks) in dead:
+            if len(forks) == 1:
+                time.sleep(0.3)
             os._exit(3)
         return sweep(*args)
 
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(seesaw, "_sweep", dying)
-    with pytest.raises(RuntimeError, match=r"^seesaw share [12] ended with exit status 3$"):
+    with pytest.raises(RuntimeError, match=rf"^seesaw share {named} ended with exit status 3$"):
         quantum_maxima(exprs, params)
     _assert_no_children()
 
