@@ -19,34 +19,36 @@ lock step through vectorized sweeps. :func:`quantum_maxima` (which
 its expressions in (expression, restart) order; each carries its
 expression's coefficient tensor and monotonicity slack and its own sweep
 counter. A restart leaves when its sweep improvement drops below the
-tolerance or at ``max_sweeps``, and the queue refills its slot. An
-expression's solution is built, and its buffers freed, as soon as its
-last restart leaves. Every kernel call treats each restart on its own, so
-a restart's path is the same bit for bit whatever else is in the pool:
-:func:`quantum_maximum` and :func:`seesaw_run` are pools of one
-expression. A full pool spreads numpy's per-call overhead thin; what is
-left is mostly the 8x8 ``eigh`` of each live restart, more than half of
-the catalog's seesaw time. The pool is 255 slots wide, the widest whose
-per-sweep arrays (64 float64 per restart) stay under glibc's default
-128 KiB mmap threshold, so malloc reuses heap memory for them from sweep
-to sweep instead of mapping fresh pages that the kernel faults in again;
-the width does not change the solutions. Much narrower pools pay more of
-numpy's per-call overhead again. The pool holds OpenBLAS at one thread,
-as the moment-matrix solver does, so no call of a sweep depends on the
-thread count that the environment asks for.
+tolerance or at ``max_sweeps``, and the queue refills its slot. Each
+expression's solution is built once the whole pool has finished. Every
+kernel call treats each restart on its own, so a restart's path is the
+same bit for bit whatever else is in the pool: :func:`quantum_maximum`
+and :func:`seesaw_run` are pools of one expression. A full pool spreads
+numpy's per-call overhead thin; what is left is mostly the 8x8 ``eigh``
+of each live restart, more than half of the catalog's seesaw time. The
+pool is 255 slots wide, the widest whose per-sweep arrays (64 float64
+per restart) stay under glibc's default 128 KiB mmap threshold, so
+malloc reuses heap memory for them from sweep to sweep instead of
+mapping fresh pages that the kernel faults in again; the width does not
+change the solutions. Much narrower pools pay more of numpy's per-call
+overhead again. The pool holds OpenBLAS at one thread, as the
+moment-matrix solver does, so no call of a sweep depends on the thread
+count that the environment asks for.
 
 A large pool runs as ``k`` shares, one process each: ``k`` is the number
 of usable CPUs, but at most the number of whole pools the entries fill
 and at most the restart count, and 1 where ``os.fork`` is missing. Share
-``j`` takes a contiguous block of every row's restart indices. The
-calling process runs share 0, and children made with ``os.fork`` run the
-others and send each row's results back over a pipe as they finish it.
-A row's results are joined in restart order before its best restart is
-chosen, and a restart's path does not depend on what else is in its
-pool, so the solutions and restart statistics do not depend on ``k``.
-The shares are processes, not threads: a sweep is many small numpy
-calls that hold the interpreter lock, so threads would mostly take
-turns.
+``j`` takes a contiguous block of every row's restart indices. Every
+restart writes its results in place, at its (row, restart) position in
+arrays that the calling process maps as shared memory before it forks,
+so nothing is sent between processes. With one share the calling process
+runs the pool itself; with more, children made with ``os.fork`` run every
+share and the calling process only waits for them, in share order. Each
+row's best restart is then chosen from the arrays, and a restart's path
+does not depend on what else is in its pool, so the solutions and restart
+statistics do not depend on ``k``. The shares are processes, not threads:
+a sweep is many small numpy calls that hold the interpreter lock, so
+threads would mostly take turns.
 
 Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
 measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the
@@ -74,13 +76,11 @@ un-rotated run.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
+import mmap
 import os
-import pickle
-import selectors
 import signal
 import traceback
 from dataclasses import dataclass
@@ -133,6 +133,13 @@ _VALUE_TIE_TOL = 16 * np.finfo(float).eps
 # is one slot short of the threshold's worth of such rows: 255.
 _MMAP_THRESHOLD = 128 * 1024
 _POOL_WIDTH = _MMAP_THRESHOLD // (64 * np.dtype(float).itemsize) - 1
+# What a restart leaves behind: name -> (shape per restart, dtype). A pool
+# over m rows of r restarts fills an (m, r, *shape) array of each.
+_RESULTS = {"states": ((8,), float), "rows": ((6, 4), float), "values": ((), float),
+            "sweeps": ((), int), "converged": ((), bool)}
+# The steps whose decrease fails a row, in the order they run in a sweep;
+# a row's failure code is its step's position here plus one.
+_STEPS = ("state", "observable")
 
 
 @dataclass(frozen=True)
@@ -219,10 +226,11 @@ def quantum_maxima(exprs, params: SeesawParams = SeesawParams()) -> list[Solutio
 
     Each entry is the expression's solution, or the RuntimeError of a step
     that decreased the value of one of its restarts: that expression's
-    runs stop there, and the others finish. When that happens in several
-    shares of the pool, the error of the share with the lowest restarts
-    stands. A share's process that dies makes the call raise RuntimeError,
-    which names the lowest share whose process died.
+    runs stop there, and the others finish. When several shares of the
+    pool fail an expression, the error of the lowest share (the one with
+    the lowest restart indices) stands. A share's process that ends other
+    than with exit status 0 makes the call raise RuntimeError, which names
+    the lowest such share.
     """
     keys = tuple((i,) for i in range(params.restarts))
     return _maxima(exprs, _draws(params.master_seed, keys), params, keep_trace=False)
@@ -238,36 +246,45 @@ def _raised(result):
 @_one_blas_thread
 def _maxima(exprs, draws, params, keep_trace):
     """One pool over ``exprs``, run as ``_share_count`` shares; each row's
-    entry is built once every share has finished the row.
+    entry is built once every share has finished.
 
-    Share ``j`` runs a contiguous block of every row's restart indices.
-    The calling process runs share 0, and forked children run the others
-    and stream their rows back as they finish them.
+    Share ``j`` runs a contiguous block of every row's restart indices and
+    writes their results into that block's columns of shared arrays. One
+    share runs in the calling process; more run in forked children, and
+    the calling process only waits. Traces are kept in process only.
     """
     tensors = np.array([expr.tensor() for expr in exprs], dtype=float).reshape(-1, 3, 3, 3)
     restarts = len(draws[1])
-    count = _share_count(len(tensors), restarts)
+    count = 1 if keep_trace else _share_count(len(tensors), restarts)
+    out = {key: _shared((len(tensors), restarts, *shape), dtype)
+           for key, (shape, dtype) in _RESULTS.items()}
+    failed = _shared((len(tensors), count), np.int8)
+    traces = [[[] for _ in range(restarts)] for _ in tensors] if keep_trace else None
     bounds = [restarts * share // count for share in range(count + 1)]
-    shares = [tuple(array[lo:hi] for array in draws) for lo, hi in zip(bounds, bounds[1:])]
-    parts = [{} for _ in tensors]
-    results = [None] * len(tensors)
-
-    def take(received):
-        for share, row, run in received:
-            parts[row][share] = run
-            if len(parts[row]) == count:
-                merged = _merge([parts[row][j] for j in range(count)])
-                parts[row] = None
-                results[row] = merged if isinstance(merged, RuntimeError) else _best_solution(merged)
-
-    with _forked(tensors, shares[1:], params, keep_trace) as received:
-        # Rows are read as they arrive, sweep by sweep, so that no child
-        # waits on a full pipe while this share runs.
-        for row, run in _pool(tensors, shares[0], params, keep_trace,
-                              after_sweep=lambda: take(received(block=False))):
-            take([(0, row, run)])
-        take(received(block=True))
+    jobs = [functools.partial(_pool, tensors, tuple(array[lo:hi] for array in draws), params,
+                              {key: array[:, lo:hi] for key, array in out.items()},
+                              failed[:, share], traces)
+            for share, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    if count == 1:
+        jobs[0]()
+    else:
+        _forked(jobs)
+    results = []
+    for row, codes in enumerate(failed):
+        codes = codes[codes != 0]
+        if len(codes):
+            results.append(RuntimeError(f"seesaw {_STEPS[codes[0] - 1]} step decreased the value"))
+        else:
+            results.append(_best_solution(out, row, tensors[row], traces))
     return results
+
+
+def _shared(shape, dtype):
+    """A zeroed array in anonymous shared memory: what a forked child
+    writes to it, its parent reads."""
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
 def _usable_cpus() -> int:
@@ -287,135 +304,59 @@ def _share_count(rows: int, restarts: int) -> int:
     return max(1, min(_usable_cpus(), rows * restarts // _POOL_WIDTH, restarts))
 
 
-def _merge(parts):
-    """A row's run from its shares' runs, joined in restart order. When
-    shares failed the row, the lowest share's error stands for it."""
-    errors = [part for part in parts if isinstance(part, RuntimeError)]
-    if errors:
-        return errors[0]
-    if len(parts) == 1:
-        return parts[0]
-    run = dict(parts[0])
-    for key in ("states", "rows", "values", "sweeps", "converged"):
-        run[key] = np.concatenate([part[key] for part in parts])
-    if run["traces"] is not None:
-        run["traces"] = [trace for part in parts for trace in part["traces"]]
-    return run
+def _forked(jobs):
+    """Run each job in a forked child, and wait for the children in order.
 
-
-@contextlib.contextmanager
-def _forked(tensors, shares, params, keep_trace):
-    """Run shares 1, 2, ... of a pool in forked children.
-
-    Yields ``received(block)``, which yields ``(share, row, run)`` for
-    each row the children have sent: those already in the pipes, or with
-    ``block`` every one to come. A child is reaped once its pipe closes.
-    Once a child exits other than with status 0, ``received`` waits for
-    the others to exit and raises RuntimeError for the lowest share that
-    failed. Leaving the block kills and reaps every child still running.
+    A child leaves only through ``os._exit``, with status 0 once its job
+    has returned and 1, its traceback written to fd 2, if the job raised:
+    it runs no atexit handler, flushes no stdio buffer inherited from its
+    parent and never returns into its caller. The first child, in job
+    order, to end otherwise raises RuntimeError naming its share; every
+    earlier one has succeeded, so the name does not depend on timing.
+    Leaving kills and reaps every child not yet reaped.
     """
-    children = {}  # read end of a child's pipe -> [share, pid, unread bytes]
-    selector = selectors.DefaultSelector()
+    children = {}  # share -> pid, until waitpid has returned for it
     try:
-        for share, draws in enumerate(shares, start=1):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
+        for share, job in enumerate(jobs):
+            pid = os.fork()
             if not pid:
-                for fd in (read, *children):
-                    os.close(fd)
-                _run_share(write, tensors, draws, params, keep_trace)
-            os.close(write)
-            children[read] = [share, pid, bytearray()]
-        for fd in children:
-            selector.register(fd, selectors.EVENT_READ)
-        yield functools.partial(_received, selector, children)
+                status = 1
+                try:
+                    job()
+                    status = 0
+                except Exception:
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(status)
+            children[share] = pid
+        for share in range(len(jobs)):
+            code = os.waitstatus_to_exitcode(os.waitpid(children[share], 0)[1])
+            del children[share]
+            if code:
+                ended = f"exit status {code}" if code > 0 else f"signal {-code}"
+                raise RuntimeError(f"seesaw share {share} ended with {ended}")
     finally:
-        selector.close()
-        for fd, (_, pid, _) in children.items():
-            os.close(fd)
+        for pid in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _run_share(write, tensors, draws, params, keep_trace):
-    """A forked child's whole life: run one share's pool and write each
-    finished row to the pipe ``write`` as a length-prefixed pickle.
-
-    The child leaves only through ``os._exit``, with status 0 once every
-    row is written: it runs no atexit handler, flushes no stdio buffer
-    inherited from its parent and never returns into its caller.
-    """
-    status = 1
-    try:
-        with open(write, "wb") as pipe:
-            for row, run in _pool(tensors, draws, params, keep_trace):
-                frame = pickle.dumps((row, run), protocol=pickle.HIGHEST_PROTOCOL)
-                pipe.write(len(frame).to_bytes(8, "little"))
-                pipe.write(frame)
-        status = 0
-    except Exception:
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
-
-
-def _received(selector, children, block):
-    """The rows in the children's pipes; see :func:`_forked`.
-
-    Once a child has failed, the other children are left to exit on their
-    own, their rows dropped: one killed early would end with a status
-    that depends on timing. The error then names the lowest share that
-    failed, whichever the selector reported first.
-    """
-    failures = {}  # share -> how its child ended
-    while children:
-        for key, _ in selector.select(None if block or failures else 0):
-            share, pid, unread = children[key.fd]
-            chunk = os.read(key.fd, 1 << 16)
-            if failures:
-                unread.clear()
-            else:
-                unread += chunk
-            while len(unread) >= 8:
-                end = 8 + int.from_bytes(unread[:8], "little")
-                if len(unread) < end:
-                    break
-                yield (share, *pickle.loads(unread[8:end]))
-                del unread[:end]
-            if not chunk:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                selector.unregister(key.fd)
-                os.close(key.fd)
-                del children[key.fd]
-                if code:
-                    failures[share] = f"exit status {code}" if code > 0 else f"signal {-code}"
-        if not block and not failures:
-            return
-    if failures:
-        share = min(failures)
-        raise RuntimeError(f"seesaw share {share} ended with {failures[share]}")
-
-
-def _best_solution(run) -> Solution:
-    """A row's best restart, by the tie rule of ``quantum_maximum``, with
-    the statistics of all its restarts."""
-    values = run["values"]
-    best = int(np.argmax(values >= values.max() - _VALUE_TIE_TOL * run["scale"]))
+def _best_solution(out, row, tensor, traces) -> Solution:
+    """Row ``row``'s best restart, by the tie rule of ``quantum_maximum``,
+    with the statistics of all its restarts."""
+    values = out["values"][row]
+    scale = _scale(tensor)
+    best = int(np.argmax(values >= values.max() - _VALUE_TIE_TOL * scale))
     return Solution(
-        state=PureState(run["states"][best]),
-        measurements=tuple(_decode_observable(row) for row in run["rows"][best]),
+        state=PureState(out["states"][row, best]),
+        measurements=tuple(_decode_observable(setting) for setting in out["rows"][row, best]),
         value=float(values[best]),
-        sweeps_used=int(run["sweeps"][best]),
+        sweeps_used=int(out["sweeps"][row, best]),
         restart_index=best,
-        value_trace=None if run["traces"] is None else tuple(run["traces"][best]),
-        capped_restarts=int(np.count_nonzero(~run["converged"])),
-        hits=int(np.count_nonzero(values >= values.max() - run["slack"])),
-        median_sweeps=float(np.median(run["sweeps"])),
+        value_trace=None if traces is None else tuple(traces[row][best]),
+        capped_restarts=int(np.count_nonzero(~out["converged"][row])),
+        hits=int(np.count_nonzero(values >= values.max() - _MONOTONE_SLACK * scale)),
+        median_sweeps=float(np.median(out["sweeps"][row])),
     )
 
 
@@ -547,40 +488,24 @@ def _sweep(tensor, rows, before, slack):
     return value, psi, lowered
 
 
-def _new_run(tensor, restarts: int, keep_trace: bool) -> dict:
-    """Per-restart result buffers of one row, filled as its restarts leave."""
-    scale = _scale(tensor)
-    return {"states": np.empty((restarts, 8)), "rows": np.empty((restarts, 6, 4)),
-            "values": np.empty(restarts), "sweeps": np.empty(restarts, dtype=int),
-            "converged": np.empty(restarts, dtype=bool),
-            "traces": [[] for _ in range(restarts)] if keep_trace else None,
-            "scale": scale, "slack": _MONOTONE_SLACK * scale, "left": restarts}
-
-
-def _pool(tensors, draws, params, keep_trace, after_sweep=lambda: None):
+def _pool(tensors, draws, params, out, failed, traces):
     """Every row's restarts, run through one pool of ``_POOL_WIDTH`` slots.
 
     ``tensors`` is an (m, 3, 3, 3) stack of coefficient tensors, and every
     row runs each restart of ``draws``. Restarts enter in (row, restart)
     order and leave on the convergence tolerance or at
     ``params.max_sweeps``; the slots they free are refilled at the start
-    of the next sweep. Yields ``(row, run)`` once a row's last restart has
-    left: ``run`` holds its per-restart results, or is the RuntimeError of
-    a step that decreased one of its restarts' values, which ends that
-    row's restarts and no other's. ``after_sweep`` is called after every
-    sweep.
+    of the next sweep. A restart that leaves writes its results to
+    ``out[key][row, restart]`` (see ``_RESULTS``), and its value after
+    each sweep goes to ``traces[row][restart]`` unless ``traces`` is None.
+    A step that decreases a restart's value sets ``failed[row]``, if it is
+    still 0, to the step's code (see ``_STEPS``); that ends the row's
+    restarts and no other's.
     """
     moments, gauged = draws
     restarts = len(gauged)
-    runs, failed = {}, {}
-    # Rows are found here without numpy's set routines: in numpy 2.4
-    # ``np.unique`` imports ``numpy.ma``, over a megabyte that the pool
-    # would load for nothing. The live restarts stay in entry order, so
-    # their rows never decrease and ``dict.fromkeys`` lists the distinct
-    # ones in ascending order, as ``np.unique`` would.
-    dead_rows = np.zeros(len(tensors), dtype=bool)
-    queue = ((row, i) for row in range(len(tensors)) for i in range(restarts)
-             if row not in failed)
+    slack = np.array([_MONOTONE_SLACK * _scale(tensor) for tensor in tensors])
+    queue = ((row, i) for row in range(len(tensors)) for i in range(restarts) if not failed[row])
     # The live restarts, contiguous and in entry order. Each carries its
     # row, restart index, tensor, monotonicity slack, rows, value and
     # sweep count.
@@ -592,14 +517,11 @@ def _pool(tensors, draws, params, keep_trace, after_sweep=lambda: None):
         entering = list(itertools.islice(queue, _POOL_WIDTH - len(live["row"])))
         if entering:
             row, restart = np.array(entering).T
-            for new in row[restart == 0].tolist():
-                runs[new] = _new_run(tensors[new], restarts, keep_trace)
             tensor = tensors[row]
             # The drawn state sets only the starting value; the state step
             # replaces it.
             value = np.einsum("nt,nt->n", moments[restart], tensor.reshape(-1, 27))
-            entered = {"row": row, "restart": restart, "tensor": tensor,
-                       "slack": np.array([runs[r]["slack"] for r in row.tolist()]),
+            entered = {"row": row, "restart": restart, "tensor": tensor, "slack": slack[row],
                        "rows": gauged[restart], "value": value,
                        "sweeps": np.zeros(len(row), dtype=int)}
             live = {key: np.concatenate((live[key], entered[key])) for key in live}
@@ -607,34 +529,23 @@ def _pool(tensors, draws, params, keep_trace, after_sweep=lambda: None):
             return
         before = live["value"]
         value, psi, lowered = _sweep(live["tensor"], live["rows"], before, live["slack"])
-        for step, down in lowered.items():
-            if down.any():
-                for row in dict.fromkeys(live["row"][down].tolist()):
-                    failed.setdefault(row, RuntimeError(f"seesaw {step} step decreased the value"))
-                    dead_rows[row] = True
+        for code, step in enumerate(_STEPS, start=1):
+            rows = live["row"][lowered[step]]
+            failed[rows[failed[rows] == 0]] = code
         live["value"] = value
         live["sweeps"] += 1
-        after_sweep()
 
-        if keep_trace:
+        if traces is not None:
             for row, i, v in zip(live["row"].tolist(), live["restart"].tolist(), value.tolist()):
-                runs[row]["traces"][i].append(v)
-        dead = dead_rows[live["row"]]
-        for row in dict.fromkeys(live["row"][dead].tolist()):
-            del runs[row]
-            yield row, failed[row]
+                traces[row][i].append(v)
+        dead = failed[live["row"]] != 0
         done = value - before < params.convergence_tol
         leaving = (done | (live["sweeps"] >= params.max_sweeps)) & ~dead
-        for row in dict.fromkeys(live["row"][leaving].tolist()):
-            mine = leaving & (live["row"] == row)
-            run, restart = runs[row], live["restart"][mine]
-            run["states"][restart] = psi[mine]
-            run["rows"][restart] = live["rows"][mine][:, :, 1:].reshape(-1, 6, 4)
-            run["values"][restart] = value[mine]
-            run["sweeps"][restart] = live["sweeps"][mine]
-            run["converged"][restart] = done[mine]
-            run["left"] -= len(restart)
-            if not run["left"]:
-                yield row, runs.pop(row)
+        at = live["row"][leaving], live["restart"][leaving]
+        out["states"][at] = psi[leaving]
+        out["rows"][at] = live["rows"][leaving][:, :, 1:].reshape(-1, 6, 4)
+        out["values"][at] = value[leaving]
+        out["sweeps"][at] = live["sweeps"][leaving]
+        out["converged"][at] = done[leaving]
         if (leaving | dead).any():
             live = {key: array[~(leaving | dead)] for key, array in live.items()}

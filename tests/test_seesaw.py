@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -151,9 +152,13 @@ def test_draw_cache_does_not_leak_between_calls():
 
 def _run_alone(tensor, draws, params):
     """The per-restart results of one row run through the pool by itself."""
-    ((row, run),) = _pool(tensor[None], draws, params, keep_trace=False)
-    assert row == 0
-    return run
+    restarts = len(draws[1])
+    out = {key: np.empty((1, restarts, *shape), dtype)
+           for key, (shape, dtype) in seesaw._RESULTS.items()}
+    failed = np.zeros(1, dtype=np.int8)
+    _pool(tensor[None], draws, params, out, failed, None)
+    assert failed[0] == 0
+    return {key: array[0] for key, array in out.items()}
 
 
 def test_restart_alone_equals_restart_in_batch():
@@ -203,11 +208,14 @@ def test_pool_equals_each_expression_alone(monkeypatch):
         assert _pool_fingerprints(quantum_maxima(exprs, params)) == _pool_fingerprints(alone)
 
 
-def test_catalog_pool_stays_small():
+def test_catalog_pool_stays_small(monkeypatch):
     """The pool's per-sweep arrays stay under malloc's mmap threshold: over
-    the catalog at 40 restarts the traced allocation peak is about 0.9 MB,
-    against 1.75 MB at 512 slots. A one-sweep run first fills the draw
-    cache and the kernel table."""
+    the catalog at 40 restarts the traced allocation peak is about 0.8 MB,
+    against 1.6 MB at 512 slots. The pool runs in this process, on one
+    CPU, so that its arrays are traced; the shared result arrays are
+    mapped, not allocated, and are not. A one-sweep run first fills the
+    draw cache and the kernel table."""
+    monkeypatch.setattr(seesaw, "_usable_cpus", lambda: 1)
     exprs = [catalog_entry(ident).expression for ident in CATALOG_IDS]
     quantum_maxima(exprs, SeesawParams(restarts=40, max_sweeps=1, master_seed=0))
     tracemalloc.start()
@@ -243,6 +251,21 @@ def test_a_decrease_ends_its_row_alone(monkeypatch):
     assert isinstance(seventeen, RuntimeError)
     assert str(seventeen) == "seesaw state step decreased the value"
     assert [_fingerprint(five), _fingerprint(twenty_six)] == [expected[0], expected[2]]
+
+
+def test_the_state_step_fails_a_row_first(monkeypatch):
+    """When both steps lower restarts of one row in the same sweep, the
+    row fails on the state step, which runs first."""
+    sweep = seesaw._sweep
+
+    def sabotaged(tensor, rows, before, slack):
+        value, psi, lowered = sweep(tensor, rows, before, slack)
+        lowered["observable"][0] = lowered["state"][1] = True
+        return value, psi, lowered
+
+    monkeypatch.setattr(seesaw, "_sweep", sabotaged)
+    (result,) = quantum_maxima([catalog_entry(5).expression], QUICK)
+    assert str(result) == "seesaw state step decreased the value"
 
 
 def _assert_no_children():
@@ -321,8 +344,8 @@ def _sabotage_shares(monkeypatch, params, target, steps):
     (3, {0: "state", 8: "observable"}, "state"),
 ])
 def test_a_decrease_in_any_share_ends_its_row_alone(monkeypatch, cpus, steps, step):
-    """A decrease in a child's share fails that row alone, as one in the
-    parent's does. When several shares fail a row, the lowest share's
+    """A decrease in any share fails that row alone, as one in a pool run
+    in process does. When several shares fail a row, the lowest share's
     error stands for it."""
     params = SeesawParams(restarts=12, master_seed=0)
     exprs = [catalog_entry(ident).expression for ident in (5, 17, 26)]
@@ -338,12 +361,16 @@ def test_a_decrease_in_any_share_ends_its_row_alone(monkeypatch, cpus, steps, st
     assert [_fingerprint(five), _fingerprint(twenty_six)] == [expected[0], expected[2]]
 
 
-@pytest.mark.parametrize("dead, named", [((1, 2), 1), ((2,), 2)], ids=["both", "second"])
-def test_a_dead_child_fails_the_call(monkeypatch, dead, named):
-    """A child that dies makes the whole call raise, naming its exit
-    status, and returns no rows. When several die, the error names the
-    lowest of their shares, not the one the parent hears of first: share
-    1 dies after share 2."""
+@pytest.mark.parametrize("dead, named, ended", [
+    ((1, 2), 0, "exit status 3"),
+    ((2,), 1, "exit status 3"),
+    ((2,), 1, "signal 9"),
+], ids=["both", "second", "killed"])
+def test_a_dead_child_fails_the_call(monkeypatch, dead, named, ended):
+    """A child that dies makes the whole call raise, naming how it ended,
+    and returns no rows. When several die, the error names the lowest of
+    their shares, not the one that dies first: share 0 dies after share
+    1."""
     params = SeesawParams(restarts=12, master_seed=0)
     exprs = [catalog_entry(ident).expression for ident in (5, 17, 26)]
     monkeypatch.setattr(seesaw, "_POOL_WIDTH", 12)
@@ -351,7 +378,7 @@ def test_a_dead_child_fails_the_call(monkeypatch, dead, named):
     parent, sweep, fork, forks = os.getpid(), seesaw._sweep, os.fork, []
 
     def counted_fork():
-        # A child's share is the number of forks up to its own.
+        # A child's share is the number of forks before its own.
         forks.append(None)
         return fork()
 
@@ -359,33 +386,57 @@ def test_a_dead_child_fails_the_call(monkeypatch, dead, named):
         if os.getpid() != parent and len(forks) in dead:
             if len(forks) == 1:
                 time.sleep(0.3)
+            if ended.startswith("signal"):
+                os.kill(os.getpid(), signal.SIGKILL)
             os._exit(3)
         return sweep(*args)
 
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(seesaw, "_sweep", dying)
-    with pytest.raises(RuntimeError, match=rf"^seesaw share {named} ended with exit status 3$"):
+    with pytest.raises(RuntimeError, match=rf"^seesaw share {named} ended with {ended}$"):
         quantum_maxima(exprs, params)
     _assert_no_children()
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_an_error_in_the_parent_share_kills_the_children(monkeypatch, error):
+    """An error or interrupt while the parent waits for its children kills
+    and reaps every child."""
     params = SeesawParams(restarts=30, master_seed=0)
     exprs = [catalog_entry(ident).expression for ident in POOL_IDS]
     monkeypatch.setattr(seesaw, "_POOL_WIDTH", 7)
     monkeypatch.setattr(seesaw, "_usable_cpus", lambda: 2)
-    parent, sweep, sweeps = os.getpid(), seesaw._sweep, []
+    waitpid, waits = os.waitpid, []
 
     def failing(*args):
-        if os.getpid() == parent:
-            sweeps.append(None)
-            if len(sweeps) == 2:
-                raise error("in the parent's share")
-        return sweep(*args)
+        waits.append(None)
+        if len(waits) == 1:
+            raise error("in the parent")
+        return waitpid(*args)
 
-    monkeypatch.setattr(seesaw, "_sweep", failing)
-    with pytest.raises(error, match="in the parent's share"):
+    monkeypatch.setattr(os, "waitpid", failing)
+    with pytest.raises(error, match="in the parent"):
+        quantum_maxima(exprs, params)
+    _assert_no_children()
+
+
+def test_a_failed_fork_kills_the_children(monkeypatch):
+    """A fork that fails raises its OSError, and the child already made is
+    killed and reaped."""
+    params = SeesawParams(restarts=30, master_seed=0)
+    exprs = [catalog_entry(ident).expression for ident in POOL_IDS]
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 7)
+    monkeypatch.setattr(seesaw, "_usable_cpus", lambda: 3)
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError("no second fork")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(OSError, match="no second fork"):
         quantum_maxima(exprs, params)
     _assert_no_children()
 
@@ -405,11 +456,15 @@ sys.stdout.write("buffered ")
 exprs = [catalog_entry(ident).expression for ident in (2, 5)]
 params = seesaw.SeesawParams(restarts=20, master_seed=0)
 seesaw.quantum_maxima(exprs, params)
-parent, sweep = os.getpid(), seesaw._sweep
+parent, sweep, fork, forks = os.getpid(), seesaw._sweep, os.fork, []
+def counted_fork():
+    forks.append(None)
+    return fork()
 def failing(*args):
-    if os.getpid() != parent:
+    if os.getpid() != parent and len(forks) == 1:
         raise ValueError("a child's share failed")
     return sweep(*args)
+os.fork = counted_fork
 seesaw._sweep = failing
 try:
     seesaw.quantum_maxima(exprs, params)
@@ -421,7 +476,7 @@ except RuntimeError as err:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout == "buffered seesaw share 1 ended with exit status 1\natexit\n"
+    assert done.stdout == "buffered seesaw share 0 ended with exit status 1\natexit\n"
     assert done.stderr.count("ValueError: a child's share failed") == 1
 
 
