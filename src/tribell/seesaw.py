@@ -25,30 +25,35 @@ kernel call treats each restart on its own, so a restart's path is the
 same bit for bit whatever else is in the pool: :func:`quantum_maximum`
 and :func:`seesaw_run` are pools of one expression. A full pool spreads
 numpy's per-call overhead thin; what is left is mostly the 8x8 ``eigh``
-of each live restart, more than half of the catalog's seesaw time. The
-pool is 255 slots wide, the widest whose per-sweep arrays (64 float64
-per restart) stay under glibc's default 128 KiB mmap threshold, so
-malloc reuses heap memory for them from sweep to sweep instead of
-mapping fresh pages that the kernel faults in again; the width does not
-change the solutions. Much narrower pools pay more of numpy's per-call
-overhead again. The pool holds OpenBLAS at one thread, as the
-moment-matrix solver does, so no call of a sweep depends on the thread
-count that the environment asks for.
+of each live restart. The pool is 255 slots wide, the widest whose
+per-sweep arrays (64 float64 per restart) stay under glibc's default
+128 KiB mmap threshold, so malloc reuses heap memory for them from sweep
+to sweep instead of mapping fresh pages that the kernel faults in again;
+the width does not change the solutions. Much narrower pools pay more of
+numpy's per-call overhead again. The pool holds OpenBLAS at one thread,
+as the moment-matrix solver does, so no call of a sweep depends on the
+thread count that the environment asks for.
 
 A large pool runs as ``k`` shares, one process each: ``k`` is the number
 of usable CPUs, but at most the number of whole pools the entries fill
 and at most the restart count, and 1 where ``os.fork`` is missing. Share
 ``j`` takes a contiguous block of every row's restart indices. Every
-restart writes its results in place, at its (row, restart) position in
+restart writes its results in place, at its (restart, row) position in
 arrays that the calling process maps as shared memory before it forks,
-so nothing is sent between processes. With one share the calling process
-runs the pool itself; with more, children made with ``os.fork`` run every
-share and the calling process only waits for them, in share order. Each
-row's best restart is then chosen from the arrays, and a restart's path
-does not depend on what else is in its pool, so the solutions and restart
-statistics do not depend on ``k``. The shares are processes, not threads:
-a sweep is many small numpy calls that hold the interpreter lock, so
-threads would mostly take turns.
+so nothing is sent between processes. The arrays are restart-major, so
+each share writes one contiguous block of each. With one share the
+calling process runs the pool itself; with more, children made with
+``os.fork`` run every share and the calling process only waits for them,
+in share order. Each row's best restart is then chosen from the arrays,
+and a restart's path does not depend on what else is in its pool, so the
+solutions and restart statistics do not depend on ``k``. The calling
+process reads every restart's value, sweep count and convergence flag,
+but only the winner's state and rows. Ties go to the lowest restart
+index and a row's best value is mostly reached by many restarts, so the
+winners sit near the start of the restart axis, and the calling process
+maps only the few pages of the state and row arrays around them. The
+shares are processes, not threads: a sweep is many small numpy calls
+that hold the interpreter lock, so threads would mostly take turns.
 
 Both steps work in the real Pauli basis (see :mod:`tribell.qcore`): each
 measurement is a row ``(r0, rx, ry, rz)``, the state step diagonalizes the
@@ -69,9 +74,8 @@ measurements, one representative of their class under local unitaries.
 
 The state step has one rule, in the batches and in :func:`best_state`:
 the top eigenvector from ``eigh``, its largest-magnitude amplitude made
-real and positive. In a degenerate top eigenspace (ids 11-14 and 23) that
-vector, and so a run's path, depends on rounding and may differ from an
-un-rotated run.
+real and positive. In a degenerate top eigenspace that vector, and so a
+run's path, depends on rounding and may differ from an un-rotated run.
 """
 
 from __future__ import annotations
@@ -134,7 +138,8 @@ _VALUE_TIE_TOL = 16 * np.finfo(float).eps
 _MMAP_THRESHOLD = 128 * 1024
 _POOL_WIDTH = _MMAP_THRESHOLD // (64 * np.dtype(float).itemsize) - 1
 # What a restart leaves behind: name -> (shape per restart, dtype). A pool
-# over m rows of r restarts fills an (m, r, *shape) array of each.
+# over m rows of r restarts fills an (r, m, *shape) array of each,
+# restart-major, so a block of restarts is a contiguous block of memory.
 _RESULTS = {"states": ((8,), float), "rows": ((6, 4), float), "values": ((), float),
             "sweeps": ((), int), "converged": ((), bool)}
 # The steps whose decrease fails a row, in the order they run in a sweep;
@@ -248,29 +253,31 @@ def _maxima(exprs, draws, params, keep_trace):
     """One pool over ``exprs``, run as ``_share_count`` shares; each row's
     entry is built once every share has finished.
 
-    Share ``j`` runs a contiguous block of every row's restart indices and
-    writes their results into that block's columns of shared arrays. One
-    share runs in the calling process; more run in forked children, and
-    the calling process only waits. Traces are kept in process only.
+    Share ``j`` runs a contiguous block ``[lo, hi)`` of every row's
+    restart indices and writes their results into the block
+    ``array[lo:hi]`` of each shared (restart, row, ...) array, and its
+    failure codes into ``failed[j]``. One share runs in the calling
+    process; more run in forked children, and the calling process only
+    waits. Traces are kept in process only.
     """
     tensors = np.array([expr.tensor() for expr in exprs], dtype=float).reshape(-1, 3, 3, 3)
     restarts = len(draws[1])
     count = 1 if keep_trace else _share_count(len(tensors), restarts)
-    out = {key: _shared((len(tensors), restarts, *shape), dtype)
+    out = {key: _shared((restarts, len(tensors), *shape), dtype)
            for key, (shape, dtype) in _RESULTS.items()}
-    failed = _shared((len(tensors), count), np.int8)
+    failed = _shared((count, len(tensors)), np.int8)
     traces = [[[] for _ in range(restarts)] for _ in tensors] if keep_trace else None
     bounds = [restarts * share // count for share in range(count + 1)]
     jobs = [functools.partial(_pool, tensors, tuple(array[lo:hi] for array in draws), params,
-                              {key: array[:, lo:hi] for key, array in out.items()},
-                              failed[:, share], traces)
+                              {key: array[lo:hi] for key, array in out.items()},
+                              failed[share], traces)
             for share, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     if count == 1:
         jobs[0]()
     else:
         _forked(jobs)
     results = []
-    for row, codes in enumerate(failed):
+    for row, codes in enumerate(failed.T):
         codes = codes[codes != 0]
         if len(codes):
             results.append(RuntimeError(f"seesaw {_STEPS[codes[0] - 1]} step decreased the value"))
@@ -343,20 +350,24 @@ def _forked(jobs):
 
 def _best_solution(out, row, tensor, traces) -> Solution:
     """Row ``row``'s best restart, by the tie rule of ``quantum_maximum``,
-    with the statistics of all its restarts."""
-    values = out["values"][row]
+    with the statistics of all its restarts.
+
+    ``out`` holds (restart, row, ...) arrays (see ``_RESULTS``). Of
+    ``states`` and ``rows`` only the winner's entries are read.
+    """
+    values, sweeps = out["values"][:, row], out["sweeps"][:, row]
     scale = _scale(tensor)
     best = int(np.argmax(values >= values.max() - _VALUE_TIE_TOL * scale))
     return Solution(
-        state=PureState(out["states"][row, best]),
-        measurements=tuple(_decode_observable(setting) for setting in out["rows"][row, best]),
+        state=PureState(out["states"][best, row]),
+        measurements=tuple(_decode_observable(setting) for setting in out["rows"][best, row]),
         value=float(values[best]),
-        sweeps_used=int(out["sweeps"][row, best]),
+        sweeps_used=int(sweeps[best]),
         restart_index=best,
         value_trace=None if traces is None else tuple(traces[row][best]),
-        capped_restarts=int(np.count_nonzero(~out["converged"][row])),
+        capped_restarts=int(np.count_nonzero(~out["converged"][:, row])),
         hits=int(np.count_nonzero(values >= values.max() - _MONOTONE_SLACK * scale)),
-        median_sweeps=float(np.median(out["sweeps"][row])),
+        median_sweeps=float(np.median(sweeps)),
     )
 
 
@@ -496,8 +507,10 @@ def _pool(tensors, draws, params, out, failed, traces):
     order and leave on the convergence tolerance or at
     ``params.max_sweeps``; the slots they free are refilled at the start
     of the next sweep. A restart that leaves writes its results to
-    ``out[key][row, restart]`` (see ``_RESULTS``), and its value after
-    each sweep goes to ``traces[row][restart]`` unless ``traces`` is None.
+    ``out[key][restart, row]``: ``out`` holds (restart, row, ...) arrays
+    (see ``_RESULTS``), indexed by the restarts of ``draws``. Its value
+    after each sweep goes to ``traces[row][restart]`` unless ``traces``
+    is None.
     A step that decreases a restart's value sets ``failed[row]``, if it is
     still 0, to the step's code (see ``_STEPS``); that ends the row's
     restarts and no other's.
@@ -541,7 +554,7 @@ def _pool(tensors, draws, params, out, failed, traces):
         dead = failed[live["row"]] != 0
         done = value - before < params.convergence_tol
         leaving = (done | (live["sweeps"] >= params.max_sweeps)) & ~dead
-        at = live["row"][leaving], live["restart"][leaving]
+        at = live["restart"][leaving], live["row"][leaving]
         out["states"][at] = psi[leaving]
         out["rows"][at] = live["rows"][leaving][:, :, 1:].reshape(-1, 6, 4)
         out["values"][at] = value[leaving]

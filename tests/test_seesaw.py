@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import signal
@@ -153,12 +154,12 @@ def test_draw_cache_does_not_leak_between_calls():
 def _run_alone(tensor, draws, params):
     """The per-restart results of one row run through the pool by itself."""
     restarts = len(draws[1])
-    out = {key: np.empty((1, restarts, *shape), dtype)
+    out = {key: np.empty((restarts, 1, *shape), dtype)
            for key, (shape, dtype) in seesaw._RESULTS.items()}
     failed = np.zeros(1, dtype=np.int8)
     _pool(tensor[None], draws, params, out, failed, None)
     assert failed[0] == 0
-    return {key: array[0] for key, array in out.items()}
+    return {key: array[:, 0] for key, array in out.items()}
 
 
 def test_restart_alone_equals_restart_in_batch():
@@ -311,6 +312,51 @@ def test_share_count_changes_no_bit(monkeypatch):
         _assert_no_children()
     assert found[1] == found[0]
     assert found[2] == found[0]
+
+
+def test_share_blocks_are_contiguous_and_disjoint(monkeypatch):
+    """The result arrays are (restart, row, ...) and ``failed`` is (share,
+    row): share ``j`` of ``k`` gets the contiguous block ``[lo:hi]`` of
+    each, with ``lo`` and ``hi`` its restart bounds, and no two shares'
+    blocks overlap. The shares' jobs run in this process, in order, so
+    that the views their pools receive can be recorded."""
+    params = SeesawParams(restarts=12, max_sweeps=20, master_seed=0)
+    exprs = [catalog_entry(ident).expression for ident in (5, 17, 26)]
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 7)
+    shared, pool, mapped, received = seesaw._shared, seesaw._pool, [], []
+
+    def recording_shared(shape, dtype):
+        mapped.append(shared(shape, dtype))
+        return mapped[-1]
+
+    def recording_pool(tensors, draws, params, out, failed, traces):
+        received.append((out, failed))
+        return pool(tensors, draws, params, out, failed, traces)
+
+    monkeypatch.setattr(seesaw, "_shared", recording_shared)
+    monkeypatch.setattr(seesaw, "_pool", recording_pool)
+    monkeypatch.setattr(seesaw, "_forked", lambda jobs: [job() for job in jobs])
+    for cpus in (2, 3):
+        monkeypatch.setattr(seesaw, "_usable_cpus", lambda: cpus)
+        mapped.clear()
+        received.clear()
+        quantum_maxima(exprs, params)
+        assert len(received) == cpus
+        full = {(array.shape, array.dtype): array for array in mapped}
+        arrays = {key: full[(params.restarts, len(exprs), *shape), np.dtype(dtype)]
+                  for key, (shape, dtype) in seesaw._RESULTS.items()}
+        failed = full[(cpus, len(exprs)), np.dtype(np.int8)]
+        views = [{**out, "failed": share_failed} for out, share_failed in received]
+        for share, view in enumerate(views):
+            lo, hi = params.restarts * share // cpus, params.restarts * (share + 1) // cpus
+            blocks = {key: array[lo:hi] for key, array in arrays.items()}
+            blocks["failed"] = failed[share]
+            assert view.keys() == blocks.keys()
+            for key, block in blocks.items():
+                assert view[key].flags.c_contiguous
+                assert view[key].__array_interface__ == block.__array_interface__
+        for first, second in itertools.combinations(views, 2):
+            assert not any(np.shares_memory(first[key], second[key]) for key in first)
 
 
 def _sabotage_shares(monkeypatch, params, target, steps):
@@ -550,6 +596,45 @@ def test_ties_go_to_the_lowest_restart_index():
     forty_three = quantum_maximum(catalog_entry(43).expression,
                                   SeesawParams(restarts=40, master_seed=0))
     assert forty_three.restart_index == 21
+
+
+def test_best_solution_reads_the_winner_alone():
+    """``_best_solution`` on hand-built (restart, row) arrays: a value within
+    ``_VALUE_TIE_TOL`` times the scale of the maximum at a lower index wins,
+    and one just outside it does not; the hits, capped restarts and median
+    sweeps come from every restart of the row. Every entry of ``states``
+    and ``rows`` but the winner's is NaN, so reading any other shows."""
+    tensor = np.zeros((3, 3, 3))
+    tensor[1, 2, 0] = 1.0
+    scale = _scale(tensor)
+    tie, slack = _VALUE_TIE_TOL * scale, _MONOTONE_SLACK * scale
+    # Six restarts of two rows. Row 0 differs from row 1 everywhere, so
+    # that a read of the wrong row or axis shows.
+    out = {"states": np.full((6, 2, 8), np.nan), "rows": np.full((6, 2, 6, 4), np.nan),
+           "values": np.array([[5.0, 1 - 1.25 * tie], [5.0, 1 - 0.5 * tie], [5.0, 1.0],
+                               [5.0, 1 - 2 * slack], [5.0, 1 - 0.5 * slack], [5.0, 1.0]]),
+           "sweeps": np.array([[2, 3], [2, 7], [2, 500], [2, 9], [2, 500], [2, 4]]),
+           "converged": np.array([[False, True], [True, True], [True, False],
+                                  [True, True], [True, False], [True, True]])}
+    state = np.zeros(8)
+    state[[0, 7]] = math.sqrt(0.5)
+    out["states"][1, 1] = state
+    out["rows"][1, 1] = [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0],
+                         [-1, 0, 0, 0], [0, 0.6, 0, 0.8], [0, -1, 0, 0]]
+    solution = seesaw._best_solution(out, 1, tensor, None)
+    assert solution.restart_index == 1
+    assert solution.value == 1 - 0.5 * tie
+    assert solution.sweeps_used == 7
+    assert np.array_equal(solution.state.amplitudes, state)
+    assert solution.measurements == (
+        Observable(vector=(1.0, 0.0, 0.0)), Observable(vector=(0.0, 0.0, 1.0)),
+        Observable.identity(1), Observable.identity(-1),
+        Observable(vector=(0.6, 0.0, 0.8)), Observable(vector=(-1.0, 0.0, 0.0)))
+    assert solution.value_trace is None
+    # Restart 3 is two slacks below the best; the others are within one.
+    assert solution.hits == 5
+    assert solution.capped_restarts == 2
+    assert solution.median_sweeps == 8.0
 
 
 def _complex_replay(expr, seed: int, sweeps: int) -> list[float]:
