@@ -37,7 +37,7 @@ from .fixtures import (
     fixture_solution,
     load_reference_table,
 )
-from .monotones import DEFAULT_CLASS_TOL, nonlocality_class
+from .monotones import DEFAULT_CLASS_TOL, classify_incompatibility, entanglement_profile
 from .npa import LEVELS, SdpParams, npa_solve
 from .qcore import Observable, PureState, bell_operator, expectation
 from .seesaw import SeesawParams, Solution, quantum_maxima, quantum_maximum
@@ -168,8 +168,13 @@ def _solution_from_doc(doc: dict, expr: BellExpression) -> Solution:
 
 
 def _classes_for(ident: int, solution: Solution, ent_tol: float, inc_tol: float) -> dict:
-    pair = nonlocality_class(ident, solution, ent_tol, inc_tol)
-    profile, inc = pair.entanglement, pair.incompatibility
+    """The monotone profile and class pair of a solution's state and
+    measurements; an entanglement ValueError names the inequality."""
+    try:
+        profile = entanglement_profile(solution.state, ent_tol)
+    except ValueError as err:
+        raise ValueError(f"inequality {ident}: {err}") from None
+    inc = classify_incompatibility(solution.measurements, inc_tol)
     return {
         "negativity": profile.n_abc,
         "concurrences": [profile.c_ab, profile.c_ac, profile.c_bc],
@@ -329,10 +334,10 @@ def _check(value, expected, tolerance) -> dict:
     return {"value": value, "expected": expected, "tolerance": tolerance, "status": status}
 
 
-def _tables_row(ident: int, solution: Solution | RuntimeError, npa_levels, npa_params) -> dict:
+def _tables_row(ident: int, solution: Solution | Exception, npa_levels, npa_params) -> dict:
     """One report row around the row's seesaw result, which raises here
     when its seesaw failed."""
-    if isinstance(solution, RuntimeError):
+    if isinstance(solution, Exception):
         raise solution
     entry = catalog_entry(ident)
     record = fixture_record(ident)
@@ -361,6 +366,8 @@ def _tables_row(ident: int, solution: Solution | RuntimeError, npa_levels, npa_p
             for got, want in zip(classes["incompatibilities"], expected.incompatibilities)
         ],
     }
+    # The table's profile classes equal its class pair (fixtures checks it
+    # on load), so the report gives both and checks the pair.
     got_pair = (classes["entanglement_class"], classes["incompatibility_class"])
     row["classes"] = {
         "value": list(got_pair),
@@ -368,10 +375,7 @@ def _tables_row(ident: int, solution: Solution | RuntimeError, npa_levels, npa_p
         "expected_pair": list(record.class_pair),
         "entanglement_tol": record.entanglement_tol,
         "incompatibility_tol": record.incompatibility_tol,
-        "status": "match"
-        if got_pair == (expected.entanglement_class, expected.incompatibility_class)
-        and got_pair == record.class_pair
-        else "mismatch",
+        "status": "match" if got_pair == record.class_pair else "mismatch",
     }
 
     row["npa_bounds"] = {}
@@ -426,14 +430,18 @@ def _cmd_tables(args) -> int:
     # A damaged embedded table fails the whole command here, not every row.
     load_catalog()
     load_reference_table()
-    solutions = quantum_maxima([catalog_entry(ident).expression for ident in CATALOG_IDS],
-                               seesaw_params)
+    try:
+        solutions = quantum_maxima([catalog_entry(ident).expression for ident in CATALOG_IDS],
+                                   seesaw_params)
+    except (RuntimeError, OSError) as err:
+        # A dead seesaw share or a failed fork leaves no row a seesaw result.
+        solutions = [err] * len(CATALOG_IDS)
     ordered = []
     for ident, solution in zip(CATALOG_IDS, solutions):
         # A failure in one row is recorded there and does not sink the report.
         try:
             ordered.append(_tables_row(ident, solution, npa_levels, npa_params))
-        except (ValueError, RuntimeError) as err:
+        except (ValueError, RuntimeError, OSError) as err:
             ordered.append(
                 {"id": ident, "status": "error", "error": f"{type(err).__name__}: {err}"}
             )

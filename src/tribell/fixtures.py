@@ -267,6 +267,9 @@ def _parse_row(line: str) -> FixtureRecord:
     pair = tuple(int(piece) for piece in fields[12].split(","))
     if len(pair) != 2:
         raise FixtureIntegrityError(f"row {ident}: bad class pair")
+    if pair != tuple(classes):
+        raise FixtureIntegrityError(
+            f"row {ident}: profile classes {tuple(classes)} differ from class pair {pair}")
     options = {"entanglement_tol": DEFAULT_CLASS_TOL,
                "incompatibility_tol": INCOMPATIBILITY_CLASS_TOL}
     if fields[13]:

@@ -8,7 +8,9 @@ normalized noise-robustness monotone that is 0 for compatible pairs and
 1 for maximally incompatible ones. Each quadruple and each triple is
 then matched against a fixed list of twelve patterns; patterns are
 stated up to relabeling of the parties, so matching happens on sorted
-values with special values (0, 1, 2/3, 2 sqrt(2)/3) tested first.
+values with special values (0, 1, 2/3, 2 sqrt(2)/3) tested first. A
+solution's class pair is the class of its state's quadruple and the class
+of its measurements' triple.
 """
 
 from __future__ import annotations
@@ -29,14 +31,12 @@ from .qcore import (
 __all__ = [
     "EntanglementProfile",
     "IncompatibilityProfile",
-    "NonlocalityClass",
     "bipartite_negativity",
     "classify_entanglement",
     "classify_incompatibility",
     "concurrence",
     "entanglement_profile",
     "incompatibility",
-    "nonlocality_class",
     "tripartite_negativity",
 ]
 
@@ -61,23 +61,6 @@ class IncompatibilityProfile:
     i_b: float
     i_c: float
     class_id: int
-
-
-@dataclass(frozen=True)
-class NonlocalityClass:
-    """A solution's entanglement and incompatibility profiles; their class
-    ids are its class pair."""
-
-    entanglement: EntanglementProfile
-    incompatibility: IncompatibilityProfile
-
-    @property
-    def entanglement_class(self) -> int:
-        return self.entanglement.class_id
-
-    @property
-    def incompatibility_class(self) -> int:
-        return self.incompatibility.class_id
 
 
 def _clip_unit(value: float, slack: float = 1e-9) -> float:
@@ -234,24 +217,3 @@ def classify_incompatibility(meas, tol: float = DEFAULT_CLASS_TOL) -> Incompatib
     i_b = incompatibility(meas[2], meas[3])
     i_c = incompatibility(meas[4], meas[5])
     return IncompatibilityProfile(i_a, i_b, i_c, _incompatibility_class((i_a, i_b, i_c), tol))
-
-
-def nonlocality_class(
-    expr_id: int, solution, tol: float = DEFAULT_CLASS_TOL,
-    incompatibility_tol: float | None = None,
-) -> NonlocalityClass:
-    """Entanglement and incompatibility profiles of a maximizing solution.
-
-    ``tol`` classifies the state and, unless ``incompatibility_tol`` is
-    given, the measurements too. ``expr_id`` only labels error messages;
-    the classification depends on the solution's state and measurements
-    alone.
-    """
-    if incompatibility_tol is None:
-        incompatibility_tol = tol
-    try:
-        ent = entanglement_profile(solution.state, tol)
-    except ValueError as exc:
-        raise ValueError(f"inequality {expr_id}: {exc}") from None
-    inc = classify_incompatibility(solution.measurements, incompatibility_tol)
-    return NonlocalityClass(ent, inc)

@@ -1,6 +1,7 @@
 import math
 import shutil
 import time
+import zlib
 from importlib import resources
 
 import pytest
@@ -99,3 +100,19 @@ def table_copies(tmp_path, monkeypatch):
     yield tmp_path / "data"
     bell_expr.load_catalog.cache_clear()
     fixtures.load_reference_table.cache_clear()
+
+
+@pytest.fixture
+def damaged_class_pair(table_copies, monkeypatch):
+    """The copied reference table with row 26's class pair changed from
+    (5, 11) to (5, 10), under a checksum that matches the change; its
+    profile classes still read (5, 11). Returns the error message."""
+    path = table_copies / "reference_tables.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    (row,) = (i for i, line in enumerate(lines) if line.startswith("26;"))
+    assert lines[row].count(";5,11;5,11;") == 1
+    lines[row] = lines[row].replace(";5,11;5,11;", ";5,11;5,10;")
+    text = "".join(lines)
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(fixtures, "_TABLE_CRC32", format(zlib.crc32(text.encode("utf-8")), "08x"))
+    return "row 26: profile classes (5, 11) differ from class pair (5, 10)"

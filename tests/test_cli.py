@@ -13,7 +13,8 @@ import tribell.cli as cli
 from tribell import seesaw
 from tribell.bell_expr import catalog_entry, load_catalog
 from tribell.cli import main
-from tribell.fixtures import fixture_record
+from tribell.fixtures import fixture_record, fixture_solution
+from tribell.monotones import classify_incompatibility, entanglement_profile
 from tribell.npa import SdpParams
 from tribell.qcore import Observable, PureState
 from tribell.seesaw import SeesawParams, Solution
@@ -134,6 +135,28 @@ def test_classify_fixture_rows(capsys):
     doc = json.loads(out)
     assert doc["schema"] == cli.CLASSES_SCHEMA
     assert [doc["entanglement_class"], doc["incompatibility_class"]] == [2, 4]
+
+
+def test_classes_for_tolerances_and_error_label():
+    """Each tolerance classifies its own half of the pair, and an
+    entanglement error, unlike an incompatibility error, names the
+    inequality."""
+    solution = fixture_solution(26)
+    profile = entanglement_profile(solution.state, 1e-3)
+    inc = classify_incompatibility(solution.measurements, 1e-6)
+    assert cli._classes_for(26, solution, 1e-3, 1e-6) == {
+        "negativity": profile.n_abc,
+        "concurrences": [profile.c_ab, profile.c_ac, profile.c_bc],
+        "incompatibilities": [inc.i_a, inc.i_b, inc.i_c],
+        "entanglement_class": profile.class_id,
+        "incompatibility_class": inc.class_id,
+        "entanglement_tol": 1e-3,
+        "incompatibility_tol": 1e-6,
+    }
+    with pytest.raises(ValueError, match="^inequality 26: tol must be positive$"):
+        cli._classes_for(26, solution, 0.0, 1e-6)
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        cli._classes_for(26, solution, 1e-3, 0.0)
 
 
 def test_classify_from_solution_document(capsys, tmp_path):
@@ -363,6 +386,62 @@ def test_tables_integrity_failure_is_one_error(capsys, monkeypatch):
     assert err.startswith("error: ")
     assert err.count("checksum mismatch") == 1
     assert "id " not in out
+
+
+def test_tables_class_pair_disagreement_is_one_error(capsys, damaged_class_pair):
+    code, out, err = run(capsys, "tables", "--restarts", "2")
+    assert code == cli.EXIT_ERROR == 4
+    assert err == f"error: {damaged_class_pair}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("failure", ["dead-child", "failed-fork"])
+def test_a_failed_share_fails_every_tables_row(capsys, tmp_path, monkeypatch, failure):
+    """A seesaw share whose child dies, or whose fork fails, leaves no row
+    a seesaw result: every row records the error, the report and CSV are
+    written, and the command exits 4."""
+    monkeypatch.setattr(seesaw, "_POOL_WIDTH", 7)
+    monkeypatch.setattr(seesaw, "_usable_cpus", lambda: 2)
+    assert seesaw._share_count(46, 5) == 2
+    parent, sweep, fork, forks = os.getpid(), seesaw._sweep, os.fork, []
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return sweep(*args)
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError("no second fork")
+        return fork()
+
+    if failure == "dead-child":
+        monkeypatch.setattr(seesaw, "_sweep", dying)
+        error = "RuntimeError: seesaw share 0 ended with exit status 3"
+    else:
+        monkeypatch.setattr(os, "fork", failing_fork)
+        error = "OSError: no second fork"
+    out_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+    code, out, _ = run(capsys, "tables", "--restarts", "5",
+                       "--out", str(out_path), "--csv", str(csv_path))
+    # No child is left behind.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert code == cli.EXIT_ERROR == 4
+    assert out.splitlines() == [f"id {ident:2d}  error: {error}" for ident in range(1, 47)] + [
+        "0/46 checks match  (0 skipped, 0 mismatches, 0 unconverged, 46 errors)"]
+
+    report = json.loads(out_path.read_text())
+    assert report["rows"] == [{"id": ident, "status": "error", "error": error}
+                              for ident in range(1, 47)]
+    assert report["summary"] == {"checks": 46, "matches": 0, "skipped": 0, "mismatches": 0,
+                                 "no_convergence": 0, "errors": 46}
+    with open(csv_path, newline="") as handle:
+        table = list(csv.reader(handle))
+    assert len(table) == 47
+    assert all(line[0] == str(ident) and line[-1] == "error"
+               for ident, line in enumerate(table[1:], start=1))
 
 
 def test_moment_matrix_process_loads_no_openssl():

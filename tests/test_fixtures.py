@@ -160,3 +160,8 @@ def test_table_checksum_guard(monkeypatch):
             load_reference_table()
     finally:
         load_reference_table.cache_clear()
+
+
+def test_profile_classes_must_equal_the_class_pair(damaged_class_pair):
+    with pytest.raises(FixtureIntegrityError, match=f"^{re.escape(damaged_class_pair)}$"):
+        load_reference_table()

@@ -14,7 +14,6 @@ from tribell.monotones import (
     concurrence,
     entanglement_profile,
     incompatibility,
-    nonlocality_class,
     tripartite_negativity,
 )
 from tribell.qcore import Observable, PureState, reduced_density
@@ -153,34 +152,19 @@ def test_classify_incompatibility_requires_six():
         classify_incompatibility((SIGMA_Z, SIGMA_X))
 
 
-def test_nonlocality_class_agrees_with_profiles():
-    for ident in (2, 3, 26, 43):
-        solution = fixture_solution(ident)
-        pair = nonlocality_class(ident, solution)
-        assert pair.entanglement_class == entanglement_profile(solution.state).class_id
-        assert pair.incompatibility_class == classify_incompatibility(
-            solution.measurements).class_id
+def _class_pair(solution):
+    """The class pair of a solution's state and measurements, both at the
+    default tolerance."""
+    return (entanglement_profile(solution.state).class_id,
+            classify_incompatibility(solution.measurements).class_id)
 
 
-def test_nonlocality_class_known_pairs():
-    pair = nonlocality_class(26, fixture_solution(26))
-    assert (pair.entanglement_class, pair.incompatibility_class) == (5, 11)
-    pair = nonlocality_class(43, fixture_solution(43))
-    assert (pair.entanglement_class, pair.incompatibility_class) == (2, 4)
-
-
-def test_nonlocality_class_tolerances_and_error_label():
-    solution = fixture_solution(26)
-    pair = nonlocality_class(26, solution, tol=1e-3, incompatibility_tol=1e-6)
-    assert pair.entanglement == entanglement_profile(solution.state, 1e-3)
-    assert pair.incompatibility == classify_incompatibility(solution.measurements, 1e-6)
-    with pytest.raises(ValueError, match="^inequality 26: tol must be positive"):
-        nonlocality_class(26, solution, tol=0.0)
+def test_known_class_pairs():
+    assert _class_pair(fixture_solution(26)) == (5, 11)
+    assert _class_pair(fixture_solution(43)) == (2, 4)
 
 
 def test_fixture_class_pairs():
     """The class pair of each published optimum is its published pair."""
     for ident in (2, 3, 26, 43):
-        pair = nonlocality_class(ident, fixture_solution(ident))
-        assert (pair.entanglement_class, pair.incompatibility_class) == (
-            fixture_record(ident).class_pair)
+        assert _class_pair(fixture_solution(ident)) == fixture_record(ident).class_pair
