@@ -307,18 +307,26 @@ def read_checked_table(resource: str, crc32: str, name: str, error: type, parse_
 
     The CRC-32 of the text as read, as 8 lowercase hex digits, must equal
     ``crc32``; blank lines and ``#`` comments are skipped and each other
-    line, stripped, goes to ``parse_row``, whose results carry an ``id``. A wrong checksum or id sequence raises
-    ``error``, with messages that start with ``name``.
+    line, stripped, goes to ``parse_row``, whose results carry an ``id``. A
+    wrong checksum, a row that ``parse_row`` rejects (with ``error`` or a
+    ``ValueError``) or a wrong id sequence raises ``error``, with messages
+    that start with ``name``; a rejected row's also names its line.
     """
     text = resources.files(__package__).joinpath(resource).read_text(encoding="utf-8")
     digest = format(zlib.crc32(text.encode("utf-8")), "08x")
     if digest != crc32:
         raise error(f"{name} checksum mismatch: expected {crc32}, got {digest}")
-    lines = (line.strip() for line in text.splitlines())
-    rows = tuple(parse_row(line) for line in lines if line and not line.startswith("#"))
+    rows = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                rows.append(parse_row(line))
+            except (ValueError, error) as err:
+                raise error(f"{name} line {number}: {err}") from None
     if [row.id for row in rows] != list(CATALOG_IDS):
         raise error(f"{name} must hold ids {CATALOG_IDS[0]}..{CATALOG_IDS[-1]} in order")
-    return rows
+    return tuple(rows)
 
 
 def _parse_catalog_row(line: str) -> CatalogEntry:

@@ -21,7 +21,6 @@ from .bell_expr import (
     BellParseError,
     CatalogIntegrityError,
     catalog_entry,
-    format_expression,
     load_catalog,
     local_bound,
     parse_expression,
@@ -51,7 +50,7 @@ EXIT_ERROR = 4
 SOLUTION_SCHEMA = "tribell.solution/1"
 NPA_SCHEMA = "tribell.npa/1"
 CLASSES_SCHEMA = "tribell.classes/1"
-REPORT_SCHEMA = "tribell.report/1"
+REPORT_SCHEMA = "tribell.report/2"
 
 # The observables' labels in strategy and measurement order.
 _OBSERVABLE_LABELS = ("A", "a", "B", "b", "C", "c")
@@ -125,9 +124,9 @@ def _observable_from_doc(doc: dict) -> Observable:
     return Observable.from_bloch(x, y, z, normalize=True)
 
 
-def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams | None) -> dict:
+def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams) -> dict:
     amplitudes = solution.state.amplitudes
-    doc = {
+    return {
         "schema": SOLUTION_SCHEMA,
         "id": ident,
         "value": solution.value,
@@ -141,15 +140,13 @@ def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams | 
         "capped_restarts": solution.capped_restarts,
         "hits": solution.hits,
         "median_sweeps": solution.median_sweeps,
-    }
-    if params is not None:
-        doc["parameters"] = {
+        "parameters": {
             "restarts": params.restarts,
             "max_sweeps": params.max_sweeps,
             "convergence_tol": params.convergence_tol,
             "seed": params.master_seed,
-        }
-    return doc
+        },
+    }
 
 
 def _solution_from_doc(doc: dict, expr: BellExpression) -> Solution:
@@ -196,13 +193,9 @@ def _print_classes(classes: dict) -> None:
     )
 
 
-def _entry_text(entry) -> str:
-    return entry.source or format_expression(entry.expression)
-
-
 def _cmd_list(_args) -> int:
     for entry in load_catalog():
-        print(f"{entry.id:2d}  {entry.local_maximum:2d}  {_entry_text(entry)}")
+        print(f"{entry.id:2d}  {entry.local_maximum:2d}  {entry.source}")
     return EXIT_OK
 
 
@@ -210,7 +203,7 @@ def _cmd_show(args) -> int:
     entry = catalog_entry(_parse_ident(args.id))
     print(f"id             {entry.id}")
     print(f"local maximum  {entry.local_maximum}")
-    print(f"expression     {_entry_text(entry)}")
+    print(f"expression     {entry.source}")
     return EXIT_OK
 
 
@@ -236,6 +229,7 @@ def _cmd_qmax(args) -> int:
         return EXIT_OK
     print(f"quantum maximum  {solution.value:.12f}")
     print(f"found at restart {solution.restart_index} after {solution.sweeps_used} sweeps")
+    print(f"capped restarts  {solution.capped_restarts} of {params.restarts}")
     print("state amplitudes (|000> .. |111>):")
     for amplitude in solution.state.amplitudes:
         print(f"  {amplitude.real:+.9f} {amplitude.imag:+.9f}i")
@@ -366,13 +360,10 @@ def _tables_row(ident: int, solution: Solution | Exception, npa_levels, npa_para
             for got, want in zip(classes["incompatibilities"], expected.incompatibilities)
         ],
     }
-    # The table's profile classes equal its class pair (fixtures checks it
-    # on load), so the report gives both and checks the pair.
     got_pair = (classes["entanglement_class"], classes["incompatibility_class"])
     row["classes"] = {
         "value": list(got_pair),
-        "expected_row": [expected.entanglement_class, expected.incompatibility_class],
-        "expected_pair": list(record.class_pair),
+        "expected": list(record.class_pair),
         "entanglement_tol": record.entanglement_tol,
         "incompatibility_tol": record.incompatibility_tol,
         "status": "match" if got_pair == record.class_pair else "mismatch",
@@ -396,8 +387,6 @@ def _tables_row(ident: int, solution: Solution | Exception, npa_levels, npa_para
         if level == "AQ" and record.kind == "closed" and ident not in AQ_ANOMALY_IDS:
             cell = {**cell, **_check(npa_solution.bound, record.maximum, AQ_TOL)}
         row["npa_bounds"][level] = cell
-    if not npa_levels:
-        row["npa_bounds"] = {"status": "skipped"}
     return row
 
 
@@ -473,13 +462,13 @@ def _cmd_tables(args) -> int:
             continue
         bad = [status for status in _row_statuses(row) if _STATUSES[status][1] != EXIT_OK]
         state = "ok" if not bad else ",".join(sorted(set(bad)))
-        npa_bounds = row["npa_bounds"] if npa_levels else {}
         print(
             f"id {row['id']:2d}  local {row['local_bound']['value']:3d}"
             f"  seesaw {row['seesaw_value']['value']:12.7f}"
             f"  fixture {row['fixture_value']['value']:12.7f}"
             f"  classes ({row['classes']['value'][0]:2d},{row['classes']['value'][1]:2d})"
-            + "".join(f"  {level} {_npa_text(cell):>10}" for level, cell in npa_bounds.items())
+            + "".join(f"  {level} {_npa_text(cell):>10}"
+                      for level, cell in row["npa_bounds"].items())
             + f"  {state}"
         )
     print(

@@ -4,7 +4,7 @@ The package ships a text table, checked on every load against a CRC-32
 of its text as read (see :mod:`tribell.bell_expr`), holding, per inequality,
 the optimal quantum value, a symbolic recipe for the optimal state and the
 six optimal observables, the expected monotone profile, and the expected
-class assignments. This module parses those recipes into concrete
+class pair. This module parses those recipes into concrete
 :class:`~tribell.qcore.PureState` / :class:`~tribell.qcore.Observable`
 objects so the reproduction suite can re-derive every published quantity.
 """
@@ -59,7 +59,7 @@ AQ_TOL = 2e-3
 AQ_ANOMALY_IDS = (23, 41)
 
 _TABLE_RESOURCE = "data/reference_tables.txt"
-_TABLE_CRC32 = "160c64e6"
+_TABLE_CRC32 = "15a4f4bc"
 
 # Closed-form constants appearing in the optimal measurement angles.
 F_ANGLE = (5.0 - math.sqrt(17.0)) / 4.0
@@ -115,7 +115,7 @@ class FixtureIntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExpectedProfile:
-    """One published row of monotone values and class assignments."""
+    """One published row of monotone values."""
 
     negativity: float
     c_ab: float
@@ -124,8 +124,6 @@ class ExpectedProfile:
     i_a: float
     i_b: float
     i_c: float
-    entanglement_class: int
-    incompatibility_class: int
 
     @property
     def concurrences(self) -> tuple[float, float, float]:
@@ -145,7 +143,8 @@ class FixtureRecord:
     measurement_texts: tuple[str, ...]
     profile: ExpectedProfile
     class_pair: tuple[int, int]
-    # Class tolerances: the row's own where it sets one, else the defaults.
+    # Class tolerances: the row's own entanglement tolerance where it sets
+    # one, else the defaults.
     entanglement_tol: float
     incompatibility_tol: float
 
@@ -247,13 +246,10 @@ def _parse_measurement(text: str) -> Observable:
     return Observable.from_bloch(x / norm, 0.0, z / norm)
 
 
-_OPT_FIELDS = {"ent_tol": "entanglement_tol", "inc_tol": "incompatibility_tol"}
-
-
 def _parse_row(line: str) -> FixtureRecord:
     fields = line.split(";")
-    if len(fields) != 14:
-        raise FixtureIntegrityError(f"row needs 14 fields, got {len(fields)}")
+    if len(fields) != 13:
+        raise FixtureIntegrityError(f"row needs 13 fields, got {len(fields)}")
     ident = int(fields[0])
     kind = fields[1]
     if kind not in ("closed", "decimal"):
@@ -261,32 +257,27 @@ def _parse_row(line: str) -> FixtureRecord:
     maximum = _evaluate_real(fields[2])
     state_text = None if fields[3] == "none" else fields[3]
     numbers = [float(piece) for piece in fields[10].split(",")]
-    classes = [int(piece) for piece in fields[11].split(",")]
-    if len(numbers) != 7 or len(classes) != 2:
+    if len(numbers) != 7:
         raise FixtureIntegrityError(f"row {ident}: bad profile")
-    pair = tuple(int(piece) for piece in fields[12].split(","))
+    pair = tuple(int(piece) for piece in fields[11].split(","))
     if len(pair) != 2:
         raise FixtureIntegrityError(f"row {ident}: bad class pair")
-    if pair != tuple(classes):
-        raise FixtureIntegrityError(
-            f"row {ident}: profile classes {tuple(classes)} differ from class pair {pair}")
-    options = {"entanglement_tol": DEFAULT_CLASS_TOL,
-               "incompatibility_tol": INCOMPATIBILITY_CLASS_TOL}
-    if fields[13]:
-        for piece in fields[13].split(","):
-            key, _, value = piece.partition("=")
-            if key not in _OPT_FIELDS:
-                raise FixtureIntegrityError(f"row {ident}: unknown option {key!r}")
-            options[_OPT_FIELDS[key]] = float(value)
+    entanglement_tol = DEFAULT_CLASS_TOL
+    if fields[12]:
+        key, _, value = fields[12].partition("=")
+        if key != "ent_tol":
+            raise FixtureIntegrityError(f"row {ident}: unknown option {key!r}")
+        entanglement_tol = float(value)
     return FixtureRecord(
         id=ident,
         kind=kind,
         maximum=maximum,
         state_text=state_text,
         measurement_texts=tuple(fields[4:10]),
-        profile=ExpectedProfile(*numbers, classes[0], classes[1]),
+        profile=ExpectedProfile(*numbers),
         class_pair=pair,
-        **options,
+        entanglement_tol=entanglement_tol,
+        incompatibility_tol=INCOMPATIBILITY_CLASS_TOL,
     )
 
 

@@ -102,17 +102,26 @@ def table_copies(tmp_path, monkeypatch):
     fixtures.load_reference_table.cache_clear()
 
 
+# Each embedded table's file, and the module and constant holding its checksum.
+_TABLE_FILES = {"catalog": ("sliwa_catalog.txt", bell_expr, "_CATALOG_CRC32"),
+                "reference table": ("reference_tables.txt", fixtures, "_TABLE_CRC32")}
+
+
 @pytest.fixture
-def damaged_class_pair(table_copies, monkeypatch):
-    """The copied reference table with row 26's class pair changed from
-    (5, 11) to (5, 10), under a checksum that matches the change; its
-    profile classes still read (5, 11). Returns the error message."""
-    path = table_copies / "reference_tables.txt"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    (row,) = (i for i, line in enumerate(lines) if line.startswith("26;"))
-    assert lines[row].count(";5,11;5,11;") == 1
-    lines[row] = lines[row].replace(";5,11;5,11;", ";5,11;5,10;")
-    text = "".join(lines)
-    path.write_text(text, encoding="utf-8")
-    monkeypatch.setattr(fixtures, "_TABLE_CRC32", format(zlib.crc32(text.encode("utf-8")), "08x"))
-    return "row 26: profile classes (5, 11) differ from class pair (5, 10)"
+def damage_row(table_copies, monkeypatch):
+    """``damage(table, ident, old, new)`` replaces ``old`` with ``new`` once
+    in row ``ident`` of the copied ``"catalog"`` or ``"reference table"``,
+    under a checksum that matches the change, and returns the row's line
+    number."""
+    def damage(table, ident, old, new):
+        filename, module, constant = _TABLE_FILES[table]
+        path = table_copies / filename
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        (row,) = (i for i, line in enumerate(lines) if line.startswith(f"{ident};"))
+        assert lines[row].count(old) == 1
+        lines[row] = lines[row].replace(old, new)
+        text = "".join(lines)
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(module, constant, format(zlib.crc32(text.encode("utf-8")), "08x"))
+        return row + 1
+    return damage

@@ -103,8 +103,19 @@ def test_qmax_text_output(capsys):
     code, out, _ = run(capsys, "qmax", "26", "--restarts", "40")
     assert code == 0
     assert "quantum maximum  7.9282032302" in out
+    assert "capped restarts  0 of 40" in out.splitlines()
     assert "class pair        (5, 11)" in out
     assert out.count("bloch (") == 6
+
+
+def test_qmax_text_reports_capped_restarts(capsys):
+    """One of id 17's first 40 seed-0 restarts stops at the sweep cap: the
+    text output says so, as the JSON does."""
+    code, out, _ = run(capsys, "qmax", "17", "--restarts", "40")
+    assert code == 0
+    assert "capped restarts  1 of 40" in out.splitlines()
+    _, out, _ = run(capsys, "qmax", "17", "--restarts", "40", "--json")
+    assert json.loads(out)["capped_restarts"] == 1
 
 
 def test_qmax_is_reproducible(capsys):
@@ -214,7 +225,7 @@ def test_classify_rejects_malformed_solution_documents(capsys, tmp_path, damage)
     solution = Solution(state=PureState(np.eye(8)[0]),
                         measurements=(Observable.from_bloch(0.0, 0.0, 1.0),) * 6,
                         value=0.0, sweeps_used=0, restart_index=0)
-    doc = cli._solution_doc(3, solution, None)
+    doc = cli._solution_doc(3, solution, SeesawParams())
     damage(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -260,15 +271,21 @@ def test_tables_full_run(capsys, tmp_path):
     assert "0 mismatches" in out
 
     report = json.loads(out_path.read_text())
-    assert report["schema"] == cli.REPORT_SCHEMA
+    assert report["schema"] == "tribell.report/2"
     assert [row["id"] for row in report["rows"]] == list(range(1, 47))
     for row in report["rows"]:
         for cell in (row["local_bound"], row["seesaw_value"], row["fixture_value"]):
             matches = abs(cell["value"] - cell["expected"]) <= cell["tolerance"]
             assert cell["status"] == ("match" if matches else "mismatch")
-        assert row["npa_bounds"] == {"status": "skipped"}
-    # 46 rows of 12 checks, the npa cell skipped in each.
-    assert report["summary"] == {"checks": 552, "matches": 506, "skipped": 46, "mismatches": 0,
+        classes = row["classes"]
+        assert set(classes) == {"value", "expected", "entanglement_tol",
+                                "incompatibility_tol", "status"}
+        assert classes["expected"] == list(fixture_record(row["id"]).class_pair)
+        assert classes["status"] == ("match" if classes["value"] == classes["expected"]
+                                     else "mismatch")
+        assert row["npa_bounds"] == {}
+    # 46 rows of 11 checks; without --npa a row has no npa cells.
+    assert report["summary"] == {"checks": 506, "matches": 506, "skipped": 0, "mismatches": 0,
                                  "no_convergence": 0, "errors": 0}
     seventeen = cli.quantum_maximum(catalog_entry(17).expression, cli.SeesawParams(restarts=40))
     cell = report["rows"][16]["seesaw_value"]
@@ -388,10 +405,23 @@ def test_tables_integrity_failure_is_one_error(capsys, monkeypatch):
     assert "id " not in out
 
 
-def test_tables_class_pair_disagreement_is_one_error(capsys, damaged_class_pair):
-    code, out, err = run(capsys, "tables", "--restarts", "2")
+@pytest.mark.parametrize("table, argv, old, new, message", [
+    pytest.param("catalog", ("show", "26"), "26;5;", "26;5;5;", "too many values to unpack",
+                 id="catalog-extra-field"),
+    pytest.param("reference table", ("classify", "26"), ";0.942809,", ";0.9x,",
+                 "could not convert string to float: '0.9x'", id="reference-bad-number"),
+    pytest.param("reference table", ("classify", "26"), ";5,11;\n", ";5,11;;\n",
+                 "row needs 13 fields, got 14", id="reference-14-fields"),
+])
+def test_a_malformed_table_row_is_one_error(capsys, damage_row, table, argv, old, new, message):
+    """Row 26 damaged so that the parser rejects it, under a matching
+    checksum, is an integrity failure: one error line naming the table,
+    the line and the parser's message, and exit 4."""
+    line = damage_row(table, 26, old, new)
+    code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_ERROR == 4
-    assert err == f"error: {damaged_class_pair}\n"
+    assert err.startswith(f"error: {table} line {line}: {message}")
+    assert err.count("\n") == 1
     assert out == ""
 
 

