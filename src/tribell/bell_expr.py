@@ -130,7 +130,7 @@ class CatalogEntry:
     id: int
     local_maximum: int
     expression: BellExpression
-    source: str = ""  # expression text as published, term order preserved
+    source: str  # expression text as published, term order preserved
 
 
 _TOKEN = re.compile(r"[ \t]*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<word>[A-Za-z]+)|(?P<bad>\S))")

@@ -50,7 +50,7 @@ EXIT_ERROR = 4
 SOLUTION_SCHEMA = "tribell.solution/1"
 NPA_SCHEMA = "tribell.npa/1"
 CLASSES_SCHEMA = "tribell.classes/1"
-REPORT_SCHEMA = "tribell.report/2"
+REPORT_SCHEMA = "tribell.report/3"
 
 # The observables' labels in strategy and measurement order.
 _OBSERVABLE_LABELS = ("A", "a", "B", "b", "C", "c")
@@ -62,7 +62,6 @@ _LEVEL_TOKENS = {level.lower().replace("+", ""): level for level in LEVELS}
 # the exit code it asks for. ``tables`` exits with the largest code asked.
 _STATUSES = {
     "match": ("matches", EXIT_OK),
-    "computed": ("matches", EXIT_OK),
     "skipped": ("skipped", EXIT_OK),
     "mismatch": ("mismatches", EXIT_MISMATCH),
     "no-convergence": ("no_convergence", EXIT_NO_CONVERGENCE),
@@ -379,13 +378,10 @@ def _tables_row(ident: int, solution: Solution | Exception, npa_levels, npa_para
         except RuntimeError as err:
             row["npa_bounds"][level] = {"status": "no-convergence", "error": str(err)}
             continue
-        cell = {
-            "bound": npa_solution.bound,
-            **_npa_counts(npa_solution),
-            "status": "computed",
-        }
+        # A bound with no expected value to compare is not a check.
+        cell = {"bound": npa_solution.bound, **_npa_counts(npa_solution)}
         if level == "AQ" and record.kind == "closed" and ident not in AQ_ANOMALY_IDS:
-            cell = {**cell, **_check(npa_solution.bound, record.maximum, AQ_TOL)}
+            cell.update(_check(npa_solution.bound, record.maximum, AQ_TOL))
         row["npa_bounds"][level] = cell
     return row
 
@@ -480,9 +476,9 @@ def _cmd_tables(args) -> int:
 
 
 def _npa_text(cell: dict) -> str:
-    if cell["status"] == "skipped":
+    if cell.get("status") == "skipped":
         return "-"
-    if cell["status"] == "no-convergence":
+    if cell.get("status") == "no-convergence":
         return "cap"
     return f"{cell['bound']:.7f}"
 

@@ -19,7 +19,11 @@ iteration that alternates projection onto the affine class structure
 with projection onto the positive-semidefinite cone. Its state is one
 symmetric matrix whose positive part is the PSD iterate and whose
 negative part is the scaled dual, so an iteration costs one
-eigendecomposition, which runs with OpenBLAS held at one thread.
+eigendecomposition. The solve holds OpenBLAS at one thread, since a
+threaded ``eigh`` of a moment matrix spends CPU on a second thread for no
+wall time; the hold lives here because no other module makes calls large
+enough for OpenBLAS to thread, and it finds OpenBLAS's thread functions
+on the first solve, never at import.
 Safeguarded type-II Anderson acceleration extrapolates that state from
 the last 60 fixed-point residuals, which removes most of ADMM's slow
 linear tail. An extrapolation that does not shrink the residual is
@@ -39,8 +43,12 @@ not a weak-duality certificate.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
@@ -49,7 +57,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .bell_expr import BellExpression
-from .qcore import _one_blas_thread
 
 __all__ = [
     "LEVELS",
@@ -247,6 +254,83 @@ def build_moment_problem(expr: BellExpression, level: str) -> MomentProblem:
         )
     weights.flags.writeable = False
     return MomentProblem(structure, weights, constant)
+
+
+# (get, set) thread-count symbols of OpenBLAS builds: the scipy-openblas
+# wheel numpy 2 ships, the ILP64 build of numpy 1 wheels, a system build.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    has loaded, or None where none is found (another BLAS, or a system
+    without ``/proc/self/maps``). Looked up on first use, never at import."""
+    try:
+        # surrogateescape keeps any file name, decodable or not, and
+        # hands it back to dlopen unchanged.
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            # A mapping's sixth field, when present, is the mapped file.
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = {f[5].strip() for f in fields
+             if len(f) == 6 and "blas" in os.path.basename(f[5]).lower()}
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager, and decorator, that holds OpenBLAS at one thread
+    and then restores the earlier count.
+
+    The moment matrices are at most 27 wide. A threaded ``eigh`` of that
+    size gains no wall time: it spends CPU time on a second thread and
+    can stall for milliseconds per call. The count is process-wide, so
+    nested and concurrent holds share one: the first to enter saves the
+    count and the last to leave restores it. Without OpenBLAS it does
+    nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holds = 0
+        self._previous = 0
+
+    def __enter__(self):
+        threads = _openblas_threads()
+        if threads is not None:
+            get, set_ = threads
+            with self._lock:
+                if not self._holds:
+                    self._previous = get()
+                    set_(1)
+                self._holds += 1
+
+    def __exit__(self, *exc_info):
+        threads = _openblas_threads()
+        if threads is not None:
+            with self._lock:
+                self._holds -= 1
+                if not self._holds:
+                    threads[1](self._previous)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 @_one_blas_thread

@@ -19,11 +19,7 @@ its bits do not depend on the batch around it.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,79 +317,3 @@ def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
     swapped = np.swapaxes(shaped, subsystem, subsystem + n_qubits)
     return swapped.reshape(dim, dim)
 
-
-# (get, set) thread-count symbols of OpenBLAS builds: the scipy-openblas
-# wheel numpy 2 ships, the ILP64 build of numpy 1 wheels, a system build.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.lru_cache(maxsize=1)
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    has loaded, or None where none is found (another BLAS, or a system
-    without ``/proc/self/maps``). Looked up on first use, never at import."""
-    try:
-        # surrogateescape keeps any file name, decodable or not, and
-        # hands it back to dlopen unchanged.
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
-            # A mapping's sixth field, when present, is the mapped file.
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return None
-    paths = {f[5].strip() for f in fields
-             if len(f) == 6 and "blas" in os.path.basename(f[5]).lower()}
-    for path in sorted(paths):
-        try:
-            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-class _OneBlasThread(contextlib.ContextDecorator):
-    """Context manager, and decorator, that holds OpenBLAS at one thread
-    and then restores the earlier count.
-
-    The moment matrices are at most 27 wide and the seesaw's Kronecker
-    products 64 wide. A threaded ``eigh`` or product of that size gains
-    no wall time: it spends CPU time on a second thread and can stall for
-    milliseconds per call. The count is process-wide, so nested and
-    concurrent holds share one: the first to enter saves the count and
-    the last to leave restores it. Without OpenBLAS it does nothing.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holds = 0
-        self._previous = 0
-
-    def __enter__(self):
-        threads = _openblas_threads()
-        if threads is not None:
-            get, set_ = threads
-            with self._lock:
-                if not self._holds:
-                    self._previous = get()
-                    set_(1)
-                self._holds += 1
-
-    def __exit__(self, *exc_info):
-        threads = _openblas_threads()
-        if threads is not None:
-            with self._lock:
-                self._holds -= 1
-                if not self._holds:
-                    threads[1](self._previous)
-
-
-_one_blas_thread = _OneBlasThread()

@@ -30,9 +30,9 @@ per-sweep arrays (64 float64 per restart) stay under glibc's default
 128 KiB mmap threshold, so malloc reuses heap memory for them from sweep
 to sweep instead of mapping fresh pages that the kernel faults in again;
 the width does not change the solutions. Much narrower pools pay more of
-numpy's per-call overhead again. The pool holds OpenBLAS at one thread,
-as the moment-matrix solver does, so no call of a sweep depends on the
-thread count that the environment asks for.
+numpy's per-call overhead again. The pool leaves the BLAS thread count
+as it finds it: its calls are too small for OpenBLAS to thread, so the
+solutions do not depend on the count the environment asks for.
 
 A large pool runs as ``k`` shares, one process each: ``k`` is the number
 of usable CPUs, but at most the number of whole pools the entries fill
@@ -95,7 +95,6 @@ from .bell_expr import BellExpression
 from .qcore import (
     Observable,
     PureState,
-    _one_blas_thread,
     _open_party,
     _operators,
     _response,
@@ -248,7 +247,6 @@ def _raised(result):
     return result
 
 
-@_one_blas_thread
 def _maxima(exprs, draws, params, keep_trace):
     """One pool over ``exprs``, run as ``_share_count`` shares; each row's
     entry is built once every share has finished.

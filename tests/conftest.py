@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 
 import tribell.bell_expr as bell_expr
 import tribell.fixtures as fixtures
-import tribell.qcore as qcore
+import tribell.npa as npa
 from tribell.bell_expr import CATALOG_IDS, catalog_entry
 from tribell.npa import SdpParams
 from tribell.seesaw import SeesawParams, quantum_maxima
@@ -76,7 +76,7 @@ def npa_survey():
 def openblas_at_two_threads():
     """OpenBLAS's (get, set) functions, with the count set to 2 for the
     test and put back afterwards; skips where numpy uses no OpenBLAS."""
-    threads = qcore._openblas_threads()
+    threads = npa._openblas_threads()
     if threads is None:
         pytest.skip("numpy does not use a loaded OpenBLAS here")
     get, set_ = threads

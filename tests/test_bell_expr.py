@@ -11,6 +11,7 @@ import tribell.fixtures as fixtures
 from tribell.bell_expr import (
     BellExpression,
     BellParseError,
+    CatalogEntry,
     CatalogIntegrityError,
     catalog_entry,
     deterministic_value,
@@ -238,3 +239,10 @@ def test_catalog_source_preserves_published_order():
     assert catalog_entry(2).source == "ABC + abC + aBc - Abc"
     for entry in load_catalog():
         assert dict(parse_expression(entry.source).coeffs) == dict(entry.expression.coeffs)
+
+
+def test_catalog_entry_needs_its_source():
+    """An entry carries its published text; none is built without it."""
+    entry = catalog_entry(2)
+    with pytest.raises(TypeError, match="source"):
+        CatalogEntry(entry.id, entry.local_maximum, entry.expression)

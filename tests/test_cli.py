@@ -13,7 +13,7 @@ import tribell.cli as cli
 from tribell import seesaw
 from tribell.bell_expr import catalog_entry, load_catalog
 from tribell.cli import main
-from tribell.fixtures import fixture_record, fixture_solution
+from tribell.fixtures import AQ_ANOMALY_IDS, fixture_record, fixture_solution
 from tribell.monotones import classify_incompatibility, entanglement_profile
 from tribell.npa import SdpParams
 from tribell.qcore import Observable, PureState
@@ -271,7 +271,7 @@ def test_tables_full_run(capsys, tmp_path):
     assert "0 mismatches" in out
 
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "tribell.report/2"
+    assert report["schema"] == "tribell.report/3"
     assert [row["id"] for row in report["rows"]] == list(range(1, 47))
     for row in report["rows"]:
         for cell in (row["local_bound"], row["seesaw_value"], row["fixture_value"]):
@@ -516,7 +516,8 @@ print("numpy.ma" in sys.modules)
 def test_tables_prints_npa_bounds(capsys, tmp_path):
     """Each row lists the requested levels' bounds in the order given: Q1
     is skipped (-) on every row, as each has three-body terms, and a solve
-    that hits the iteration cap reads cap."""
+    that hits the iteration cap reads cap. An AQ bound is a check only
+    where an exact maximum is known and is not an AQ anomaly."""
     out_path = tmp_path / "report.json"
     # A loose tolerance keeps the solves short; the bounds may then miss
     # their checks, which this test does not look at.
@@ -528,6 +529,8 @@ def test_tables_prints_npa_bounds(capsys, tmp_path):
         assert row["npa_bounds"]["Q1"]["status"] == "skipped"
         cell = row["npa_bounds"]["AQ"]
         assert {"iterations", "penalty_updates", "rejected_steps"} <= set(cell)
+        checked = row["kind"] == "closed" and row["id"] not in AQ_ANOMALY_IDS
+        assert ("status" in cell) == checked
         aq = f"{cell['bound']:.7f}"
         assert lines[row["id"] - 1].split()[-5:-1] == ["AQ", aq, "Q1", "-"]
 

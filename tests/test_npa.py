@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import tribell
 import tribell.npa as npa
-import tribell.qcore as qcore
 from tribell.bell_expr import catalog_entry, parse_expression
 from tribell.npa import (
     LEVELS,
@@ -253,12 +252,13 @@ def test_level_structure_is_shared_and_read_only():
         structure.class_index[()] = 0
 
 
-def _after_cli_import(expression: str) -> str:
-    """What ``expression`` (over ``npa`` and ``qcore``) prints in a fresh
-    interpreter that has imported the command line, as every start does."""
+def _after_cli_import(expression: str, run: str = "") -> str:
+    """What ``expression`` (over ``npa``) prints in a fresh interpreter
+    that has imported the command line, as every start does, and then
+    run the statement ``run``."""
     src = str(Path(tribell.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = f"import tribell.cli, tribell.npa as npa, tribell.qcore as qcore; print({expression})"
+    code = f"import tribell.cli, tribell.npa as npa\n{run}\nprint({expression})"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return result.stdout.strip()
 
@@ -272,7 +272,16 @@ def test_import_builds_no_level():
 def test_import_looks_up_no_blas():
     """The OpenBLAS thread functions are looked up on the first solve,
     so the command line's start-up time does not include the search."""
-    assert _after_cli_import("qcore._openblas_threads.cache_info().currsize") == "0"
+    assert _after_cli_import("npa._openblas_threads.cache_info().currsize") == "0"
+
+
+def test_seesaw_looks_up_no_blas():
+    """Only the moment-matrix solve holds OpenBLAS: a seesaw pool neither
+    looks up nor sets the thread count."""
+    run = ("from tribell.seesaw import SeesawParams, quantum_maxima\n"
+           "exprs = [tribell.cli.catalog_entry(i).expression for i in (2, 26)]\n"
+           "quantum_maxima(exprs, SeesawParams(restarts=20))")
+    assert _after_cli_import("npa._openblas_threads.cache_info().currsize", run) == "0"
 
 
 def test_solve_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads):
@@ -294,12 +303,12 @@ def test_solve_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads
     assert set(seen) == {1}
     assert get() == 2
     with pytest.raises(RuntimeError, match="inside"):
-        with qcore._one_blas_thread:
+        with npa._one_blas_thread:
             assert get() == 1
             raise RuntimeError("inside")
     assert get() == 2
-    with qcore._one_blas_thread:
-        with qcore._one_blas_thread:
+    with npa._one_blas_thread:
+        with npa._one_blas_thread:
             assert get() == 1
         assert get() == 1
     assert get() == 2

@@ -29,7 +29,7 @@ from tribell.seesaw import (
     quantum_maximum,
     seesaw_run,
 )
-from tribell import seesaw
+from tribell import npa, seesaw
 
 QUICK = SeesawParams(restarts=20, master_seed=0)
 
@@ -526,21 +526,22 @@ except RuntimeError as err:
     assert done.stderr.count("ValueError: a child's share failed") == 1
 
 
-def test_pool_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads):
-    """The pool's eigendecompositions run on one OpenBLAS thread, and the
-    earlier count comes back afterwards."""
-    get = openblas_at_two_threads
-    seen = []
-    eigh = np.linalg.eigh
+def test_pool_does_not_depend_on_the_openblas_thread_count(openblas_at_two_threads):
+    """The pool sets no BLAS thread count: its calls are too small for
+    OpenBLAS to thread, so the catalog's results are the same bit for bit
+    at one thread and at two."""
+    exprs = [catalog_entry(ident).expression for ident in CATALOG_IDS]
 
-    def recording_eigh(matrix):
-        seen.append(get())
-        return eigh(matrix)
+    def results():
+        return [(s.value, s.state.amplitudes.tobytes(),
+                 observable_rows(s.measurements).tobytes(), s.sweeps_used, s.restart_index,
+                 s.hits, s.median_sweeps, s.capped_restarts)
+                for s in quantum_maxima(exprs, QUICK)]
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    quantum_maxima([catalog_entry(ident).expression for ident in (5, 26)], QUICK)
-    assert seen and set(seen) == {1}
-    assert get() == 2
+    at_two = results()
+    assert openblas_at_two_threads() == 2
+    npa._openblas_threads()[1](1)
+    assert results() == at_two
 
 
 def test_different_seeds_explore_different_starts():
