@@ -69,6 +69,13 @@ _STATUSES = {
 }
 
 
+# A moment-matrix solve that fails, by the iteration cap or in its linear
+# algebra, is reported as unconverged. LinAlgError subclasses ValueError, so
+# it is caught first: the ValueError left is an objective the level cannot
+# express.
+_SOLVE_FAILURES = (RuntimeError, np.linalg.LinAlgError)
+
+
 class UsageError(Exception):
     """Bad arguments or unreadable inputs; maps to exit code 1."""
 
@@ -249,11 +256,11 @@ def _cmd_npa(args) -> int:
     params = _params(SdpParams, tolerance=args.tol, max_iterations=args.max_iterations)
     try:
         solution = npa_solve(expr, level, params)
-    except ValueError as err:
-        raise UsageError(str(err))
-    except RuntimeError as err:
+    except _SOLVE_FAILURES as err:
         print(f"no convergence: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except ValueError as err:
+        raise UsageError(str(err))
     if args.json:
         print(json.dumps({
             "schema": NPA_SCHEMA,
@@ -372,11 +379,11 @@ def _tables_row(ident: int, solution: Solution | Exception, npa_levels, npa_para
     for level in npa_levels:
         try:
             npa_solution = npa_solve(entry.expression, level, npa_params)
+        except _SOLVE_FAILURES as err:
+            row["npa_bounds"][level] = {"status": "no-convergence", "error": str(err)}
+            continue
         except ValueError as err:
             row["npa_bounds"][level] = {"status": "skipped", "reason": str(err)}
-            continue
-        except RuntimeError as err:
-            row["npa_bounds"][level] = {"status": "no-convergence", "error": str(err)}
             continue
         # A bound with no expected value to compare is not a check.
         cell = {"bound": npa_solution.bound, **_npa_counts(npa_solution)}

@@ -16,20 +16,21 @@ map to one class representative and Gamma is real symmetric.
 
 The bound is computed by an over-relaxed operator-splitting (ADMM)
 iteration that alternates projection onto the affine class structure
-with projection onto the positive-semidefinite cone. Its state is one
-symmetric matrix whose positive part is the PSD iterate and whose
-negative part is the scaled dual, so an iteration costs one
+with projection onto the positive-semidefinite cone. Its only iterate
+is one symmetric matrix V whose positive part Z is the PSD iterate and
+whose negative part is the scaled dual, so an iteration costs one
 eigendecomposition. The solve holds OpenBLAS at one thread, since a
 threaded ``eigh`` of a moment matrix spends CPU on a second thread for no
 wall time; the hold lives here because no other module makes calls large
 enough for OpenBLAS to thread, and it finds OpenBLAS's thread functions
 on the first solve, never at import.
-Safeguarded type-II Anderson acceleration extrapolates that state from
-the last 60 fixed-point residuals, which removes most of ADMM's slow
+Safeguarded type-II Anderson acceleration extrapolates V from the last
+60 fixed-point residuals T(V) - V, which removes most of ADMM's slow
 linear tail. An extrapolation that does not shrink the residual is
-thrown away. The residuals' Gram matrix is updated in place, one row
-and column per new residual, so a memory slot costs one matrix-vector
-product per iteration. An objective whose weights exceed 4 in magnitude
+thrown away, and a history whose differences are all 0 gives the plain
+step. The residuals' Gram matrix is updated in place, one row and column
+per new residual, so a memory slot costs one matrix-vector product per
+iteration. An objective whose weights exceed 4 in magnitude
 is solved with its weights divided down to that size, since large
 weights unbalance the residuals and stall the extrapolation. The words
 and class structure of a level do not depend on the expression: they
@@ -188,11 +189,8 @@ _INITIAL_PENALTY = 1.0
 _ANDERSON_MEMORY = 60
 _ANDERSON_REGULARIZATION = 1e-12
 # The largest objective weight, in magnitude, that is solved as given.
-# Larger weights are divided down to it: at 1+AB, k ABC + k aBc took 128,
-# 1,262 and 13,234 iterations for k = 1,000, 3,000 and 10,000 unscaled,
-# and takes 17 scaled. Every catalog weight is at most 4, so catalog
-# solves are unscaled; dividing every objective by its largest weight
-# would cost them 37% more iterations.
+# Larger weights are divided down to it, so the iteration count does not
+# grow with them. Catalog weights are at most 4: catalog solves are unscaled.
 _MAX_WEIGHT = 4.0
 
 
@@ -338,22 +336,24 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     """Maximize the objective over PSD moment matrices by accelerated ADMM.
 
     X carries the affine structure (equal cells within a class, identity
-    class pinned to 1), Z the PSD cone and U the scaled dual. The state
-    is the one symmetric matrix V = Z + U, whose positive part is Z and
-    negative part U, so each iteration does one eigendecomposition. The
-    over-relaxed ADMM step maps V to
+    class pinned to 1) and Z the PSD cone. The only iterate is the
+    symmetric matrix V: its positive part is Z and its negative part the
+    scaled dual, so each iteration does one eigendecomposition. The
+    over-relaxed ADMM step is
 
-        T(V) = alpha X + (1 - alpha) Z + U,  X = affine projection of Z - U + C / rho.
+        T(V) - V = alpha (X - Z),  X = affine projection of 2Z - V + C / rho,
 
-    Type-II Anderson acceleration extrapolates V from the last
+    and when rho is multiplied by a factor, V's negative part is divided
+    by it. Type-II Anderson acceleration extrapolates V from the last
     ``_ANDERSON_MEMORY`` (60) differences of T(V) - V and of T(V). Their
     Gram matrix is kept in place: a new difference updates its own row
     and column with one matrix-vector product, and the Tikhonov term reads
-    the trace off the stored squared norms. A safeguard
-    rejects an extrapolated point whose ||T(V) - V|| exceeds that of the
-    last accepted point: the iteration resumes from that point's plain
-    image with an empty memory. The memory is also emptied whenever rho
-    adapts; with an empty memory the step is plain ADMM. The class
+    the trace off the stored squared norms. A safeguard rejects an
+    extrapolated point whose ||T(V) - V|| exceeds that of the last
+    accepted point: the iteration resumes from that point's plain image
+    with an empty memory. The memory is also emptied whenever rho adapts.
+    The step is plain ADMM when the memory is empty, and when every stored
+    difference is 0, since the normal equations are then singular. The class
     structure is the level's shared, read-only one (``problem.structure``).
     OpenBLAS, when numpy uses it, is held at one thread for the solve;
     the thread count never changes a result.
@@ -395,10 +395,10 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     c_rho = c / rho
     alpha = _OVER_RELAXATION
 
-    def step(z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The affine iterate X and the plain image T(V) of V = Z + U."""
-        x = project_affine(z - u + c_rho)
-        return x, alpha * x + (1.0 - alpha) * z + u
+    def step(v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The affine iterate X and the step T(V) - V from V, whose positive part is Z."""
+        x = project_affine(2.0 * z - v + c_rho)
+        return x, alpha * (x - z)
 
     memory = _ANDERSON_MEMORY
     delta_f = np.empty((memory, n * n))
@@ -409,8 +409,8 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     # The last accepted point: its X, Z, T(V), and T(V) - V with its
     # norm. The start V = Z = the identity is its own positive part.
     z_ok = project_affine(np.zeros((n, n)))
-    x_ok, t_ok = step(z_ok, np.zeros((n, n)))
-    f_ok = t_ok - z_ok
+    x_ok, f_ok = step(z_ok, z_ok)
+    t_ok = z_ok + f_ok
     f_norm_ok = _norm(f_ok)
     v = t_ok
     primal = dual = np.inf
@@ -420,7 +420,6 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
         # eigh sorts ascending, so the positive eigenpairs are a suffix.
         k = int(np.searchsorted(vals, 0.0, side="right"))
         z = (vecs[:, k:] * vals[k:]) @ vecs[:, k:].T
-        u = v - z
         primal = _norm(x_ok - z)
         dual = rho * _norm(z - z_ok)
         if primal < params.tolerance and dual < params.tolerance:
@@ -431,15 +430,14 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
             scale = 2.0 if primal > dual else 0.5
             rho *= scale
             c_rho = c / rho
-            u /= scale
-            v = z + u
+            v = z + (v - z) / scale
             penalty_updates += 1
             # T changed with rho: neither the memory nor the last accepted
             # point's residual describes it any more.
             pushed = 0
             f_ok = None
-        x, t = step(z, u)
-        f = t - v
+        x, f = step(v, z)
+        t = v + f
         f_norm = _norm(f)
         if f_ok is not None:
             # A stored pair means the current point was extrapolated.
@@ -459,10 +457,12 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
             # A stored pair means one was just written, to ``row``.
             df = delta_f[:stored]
             gram[row, :stored] = gram[:stored, row] = df @ df[row]
-            normal = gram[:stored, :stored].copy()
-            normal.flat[:: stored + 1] += _ANDERSON_REGULARIZATION * gram.diagonal()[:stored].sum()
-            gamma = np.linalg.solve(normal, df @ f.ravel())
-            v = t - (gamma @ delta_g[:stored]).reshape(n, n)
+            trace = gram.diagonal()[:stored].sum()
+            if trace:
+                normal = gram[:stored, :stored].copy()
+                normal.flat[:: stored + 1] += _ANDERSON_REGULARIZATION * trace
+                gamma = np.linalg.solve(normal, df @ f.ravel())
+                v = t - (gamma @ delta_g[:stored]).reshape(n, n)
 
     means = class_means(z)
     moment_values = {rep: float(means[k]) for rep, k in structure.class_index.items()}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tribell.cli as cli
-from tribell import seesaw
+from tribell import npa, seesaw
 from tribell.bell_expr import catalog_entry, load_catalog
 from tribell.cli import main
 from tribell.fixtures import AQ_ANOMALY_IDS, fixture_record, fixture_solution
@@ -260,6 +260,33 @@ def test_npa_iteration_cap_exits_3(capsys):
     code, _, err = run(capsys, "npa", "2", "--level", "1ab", "--max-iterations", "5")
     assert code == 3
     assert "no convergence" in err
+
+
+def test_a_failed_solve_is_reported_as_unconverged(capsys, tmp_path, monkeypatch):
+    """A solve whose linear algebra fails is reported like a capped one:
+    npa exits 3 and tables records a no-convergence cell. Only an
+    objective the level cannot express is a usage error or a skipped
+    level."""
+    def failing(problem, params):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(npa, "sdp_maximize", failing)
+    code, _, err = run(capsys, "npa", "2", "--level", "1ab")
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert "no convergence: Singular matrix" in err
+    code, _, err = run(capsys, "npa", "2", "--level", "q1")
+    assert code == cli.EXIT_USAGE
+    assert "unreachable" in err
+
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "tables", "--restarts", "1", "--npa", "aq", "--npa", "q1",
+                     "--out", str(out_path))
+    assert code == cli.EXIT_NO_CONVERGENCE
+    report = json.loads(out_path.read_text())
+    assert report["summary"]["no_convergence"] == 46
+    for row in report["rows"]:
+        assert row["npa_bounds"]["AQ"] == {"status": "no-convergence", "error": "Singular matrix"}
+        assert row["npa_bounds"]["Q1"]["status"] == "skipped"
 
 
 def test_tables_full_run(capsys, tmp_path):

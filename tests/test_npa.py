@@ -4,16 +4,17 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tribell
 import tribell.npa as npa
-from tribell.bell_expr import catalog_entry, parse_expression
+from tribell.bell_expr import BellExpression, catalog_entry, local_bound, parse_expression
 from tribell.npa import (
     LEVELS,
     SdpParams,
@@ -231,9 +232,7 @@ def test_non_convergence_raises():
 @pytest.mark.parametrize("ident, level", [(41, "AQ"), (28, "1+AB")])
 def test_slowest_certification_solves_converge_quickly(ident, level):
     """Anderson acceleration cuts ADMM's linear tail: these two solves
-    took 4,850 and 3,851 plain iterations, 693 and 760 with a memory of
-    10, 411 and 561 with a memory of 25, and take 261 and 426 with the
-    memory of 60."""
+    take thousands of plain ADMM iterations and at most 500 accelerated."""
     problem = build_moment_problem(catalog_entry(ident).expression, level)
     solution = sdp_maximize(problem, CERTIFY_SDP)
     assert solution.status == "converged"
@@ -387,3 +386,49 @@ def test_large_weights_are_solved_scaled(k):
     assert abs(solution.objective_value - 2 * k) <= margin
     assert solution.bound >= 2 * k
     assert solution.moment_values[((1, 1), (2, 1), (3, 1))] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("text, weight", [("A", 1), ("2 A", 2), ("-A", 1), ("-2 C", 2)])
+def test_one_term_marginals_converge(text, weight):
+    """A one-term marginal w X has maximum |w|. Its solves can store
+    differences that are all exactly 0, which must give the plain step,
+    not a singular Anderson solve."""
+    for level in LEVELS:
+        solution = sdp_maximize(build_moment_problem(parse_expression(text), level), QUICK_SDP)
+        assert solution.status == "converged", level
+        assert abs(solution.objective_value - weight) <= QUICK_SDP.tolerance, level
+
+
+# Objectives of one to three non-constant terms, each weighted +-1 or +-2.
+TERMS = [term for term in product((0, 1, 2), repeat=3) if any(term)]
+objectives = st.dictionaries(st.sampled_from(TERMS), st.sampled_from((1, -1, 2, -2)),
+                             min_size=1, max_size=3).map(BellExpression)
+
+
+@settings(max_examples=40)
+@given(objectives, st.sampled_from(("1+AB", "AQ")))
+@example(BellExpression({(1, 0, 0): 1}), "AQ")  # A
+@example(BellExpression({(0, 0, 1): -2}), "1+AB")  # -2 C
+def test_random_objectives_converge_above_the_local_bound(expr, level):
+    solution = sdp_maximize(build_moment_problem(expr, level), QUICK_SDP)
+    assert solution.status == "converged"
+    assert solution.bound >= local_bound(expr)[0]
+
+
+def test_anderson_never_solves_a_zero_normal_matrix(monkeypatch):
+    """The normal matrix has trace 0 only when every stored difference is
+    0; the step is then plain and ``np.linalg.solve`` is not called."""
+    traces = []
+    solve = np.linalg.solve
+
+    def recording_solve(matrix, rhs):
+        traces.append(np.trace(matrix))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    for text in ("A", "-2 C", "AB + Ab + aB - ab"):
+        for level in ("1+AB", "AQ"):
+            solution = sdp_maximize(build_moment_problem(parse_expression(text), level), QUICK_SDP)
+            assert solution.status == "converged"
+    assert traces
+    assert min(traces) > 0
