@@ -74,11 +74,17 @@ class CatalogIntegrityError(RuntimeError):
     """The embedded catalog does not match its frozen checksum."""
 
 
+# The largest absolute coefficient sum an expression may have: every
+# value of it, as an int64 sum or in a float64 tensor, is then exact.
+_MAX_COEFFICIENT_SUM = 2**53
+
+
 class BellExpression:
     """Immutable sparse coefficient map over the 27 term indices.
 
     Zero coefficients are dropped on construction, so two expressions are
-    equal exactly when their stored mappings are equal.
+    equal exactly when their stored mappings are equal. The absolute values
+    of the coefficients may sum to at most 2**53.
     """
 
     __slots__ = ("_coeffs",)
@@ -94,6 +100,9 @@ class BellExpression:
             coeff = int(coeff)
             if coeff != 0:
                 clean[term] = clean.get(term, 0) + coeff
+        total = sum(abs(c) for c in clean.values())
+        if total > _MAX_COEFFICIENT_SUM:
+            raise ValueError(f"coefficients' absolute sum {total} exceeds 2**53")
         self._coeffs = MappingProxyType({t: c for t, c in clean.items() if c != 0})
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -115,6 +116,8 @@ def _parse_target(text: str) -> tuple[int | None, BellExpression]:
         return None, parse_expression(text)
     except BellParseError as err:
         raise UsageError(f"cannot parse expression: {err}")
+    except ValueError as err:
+        raise UsageError(str(err))
 
 
 def _observable_doc(obs: Observable) -> dict:
@@ -418,6 +421,9 @@ def _cmd_tables(args) -> int:
                 pass
         except OSError as err:
             raise UsageError(f"cannot write {path}: {err.strerror}")
+    # Both exist now, so two spellings of one file compare equal.
+    if args.out and args.csv and os.path.samefile(args.out, args.csv):
+        raise UsageError(f"--out and --csv name the same file: {args.csv}")
     started = time.perf_counter()
     # A damaged embedded table fails the whole command here, not every row.
     load_catalog()

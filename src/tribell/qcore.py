@@ -148,8 +148,10 @@ class PureState:
 # (0, n) and ±identity is (±1, 0, 0, 0).
 # The other two parties of each party, in party order.
 _OTHER_PARTIES = ((1, 2), (0, 2), (0, 1))
-# Axis orders that bring a party first in a batch of correlation tensors.
-_BATCH_PARTY_FIRST = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+# Axis orders that bring a party first, the other two after it in party
+# order: in one tensor, and in a batch of coefficient or correlation tensors.
+_PARTY_FIRST = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+_BATCH_PARTY_FIRST = tuple((0, *(axis + 1 for axis in axes)) for axes in _PARTY_FIRST)
 
 
 @functools.lru_cache(maxsize=1)
@@ -202,7 +204,8 @@ def _open_party(tensor: np.ndarray, rows: np.ndarray, party: int) -> np.ndarray:
     order.
     """
     first, second = _OTHER_PARTIES[party]
-    free_first = np.moveaxis(tensor, party - 3, -3).reshape(tensor.shape[:-3] + (9, 3))
+    axes = (_PARTY_FIRST if tensor.ndim == 3 else _BATCH_PARTY_FIRST)[party]
+    free_first = tensor.transpose(axes).reshape(tensor.shape[:-3] + (9, 3))
     half = (free_first @ rows[:, second]).reshape(-1, 3, 3, 4)
     return rows[:, first].swapaxes(1, 2)[:, None] @ half
 

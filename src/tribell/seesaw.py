@@ -17,20 +17,22 @@ Every restart runs in one pool of ``_POOL_WIDTH`` slots that advance in
 lock step through vectorized sweeps. :func:`quantum_maxima` (which
 ``tables`` calls once for the whole catalog) queues the restarts of all
 its expressions in (expression, restart) order; each carries its
-expression's coefficient tensor and monotonicity slack and its own sweep
-counter. A restart leaves when its sweep improvement drops below the
-tolerance or at ``max_sweeps``, and the queue refills its slot. Each
-expression's solution is built once the whole pool has finished. Every
-kernel call treats each restart on its own, so a restart's path is the
-same bit for bit whatever else is in the pool: :func:`quantum_maximum`
-and :func:`seesaw_run` are pools of one expression. A full pool spreads
-numpy's per-call overhead thin; what is left is mostly the 8x8 ``eigh``
-of each live restart. The pool is 255 slots wide, the widest whose
-per-sweep arrays (64 float64 per restart) stay under glibc's default
-128 KiB mmap threshold, so malloc reuses heap memory for them from sweep
-to sweep instead of mapping fresh pages that the kernel faults in again;
-the width does not change the solutions. Much narrower pools pay more of
-numpy's per-call overhead again. The pool leaves the BLAS thread count
+expression's coefficient tensor and monotonicity slack and the pool
+sweep it entered at. A restart leaves when its sweep improvement drops
+below the tolerance or at ``max_sweeps``, and the queue refills its
+slot. Each expression's solution is built once the whole pool has
+finished. Every kernel call treats each restart on its own, so a
+restart's path is the same bit for bit whatever else is in the pool:
+:func:`quantum_maximum` and :func:`seesaw_run` are pools of one
+expression. A full pool spreads numpy's per-call overhead thin; what is
+left is mostly the 8x8 ``eigh`` of each live restart. The pool is 255
+slots wide, the widest whose per-sweep arrays (64 float64 per restart)
+stay under glibc's default 128 KiB mmap threshold, so malloc serves them
+from the heap instead of mapping fresh pages that the kernel faults in
+again; the width does not change the solutions. Much narrower pools pay
+more of numpy's per-call overhead again. A sweep's bookkeeping (writing
+results, refilling the pool, failing rows) runs only when a restart
+leaves or a step lowers a value. The pool leaves the BLAS thread count
 as it finds it: its calls are too small for OpenBLAS to thread, so the
 solutions do not depend on the count the environment asks for.
 
@@ -44,7 +46,8 @@ so nothing is sent between processes. The arrays are restart-major, so
 each share writes one contiguous block of each. With one share the
 calling process runs the pool itself; with more, children made with
 ``os.fork`` run every share and the calling process only waits for them,
-in share order. Each row's best restart is then chosen from the arrays,
+in share order. A child keeps the heap memory its sweeps free (see
+``_keep_heap``). Each row's best restart is then chosen from the arrays,
 and a restart's path does not depend on what else is in its pool, so the
 solutions and restart statistics do not depend on ``k``. The calling
 process reads every restart's value, sweep count and convergence flag,
@@ -80,6 +83,7 @@ run's path, depends on rounding and may differ from an un-rotated run.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -141,6 +145,9 @@ _POOL_WIDTH = _MMAP_THRESHOLD // (64 * np.dtype(float).itemsize) - 1
 # restart-major, so a block of restarts is a contiguous block of memory.
 _RESULTS = {"states": ((8,), float), "rows": ((6, 4), float), "values": ((), float),
             "sweeps": ((), int), "converged": ((), bool)}
+# glibc's mallopt parameter: the free space at the top of the heap above
+# which free() returns memory to the kernel.
+_M_TRIM_THRESHOLD = -1
 # The steps whose decrease fails a row, in the order they run in a sweep;
 # a row's failure code is its step's position here plus one.
 _STEPS = ("state", "observable")
@@ -327,6 +334,7 @@ def _forked(jobs):
             if not pid:
                 status = 1
                 try:
+                    _keep_heap()
                     job()
                     status = 0
                 except Exception:
@@ -344,6 +352,23 @@ def _forked(jobs):
         for pid in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _keep_heap():
+    """Have malloc keep this process's freed heap memory instead of
+    returning it to the kernel.
+
+    A full sweep frees about 0.5 MB of temporaries at its end. Above
+    glibc's default trim threshold of 128 KiB, free() hands the top of the
+    heap back to the kernel, and the next sweep faults the same pages in
+    again. A share's child runs nothing but its share and then exits, so
+    its heap stays at its high-water mark for that long only. A C library
+    without ``mallopt`` is left as it is.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
 
 
 def _best_solution(out, row, tensor, traces) -> Solution:
@@ -397,19 +422,21 @@ def _update_settings(party_rows, response, settings=slice(1, 3)):
     total = np.einsum("nim,nim->n", party_rows, response)
     own = np.einsum("nsm,nsm->ns", rows, slots)
     plus, gradient = slots[:, :, 0], slots[:, :, 1:]
-    gnorm = np.sqrt((gradient * gradient).sum(axis=2))
+    square = slots * slots
+    gnorm = np.sqrt(square[:, :, 1] + square[:, :, 2] + square[:, :, 3])
     usable = gnorm >= _GRADIENT_TOL
-    keeps = ~usable & (rows[:, :, 0] == 0.0)
-    bloch_value = np.where(usable, gnorm, np.where(keeps, own, -np.inf))
+    # With no usable gradient, a Bloch incumbent offers its own value and
+    # an identity incumbent no Bloch choice at all.
+    bloch_value = np.where(usable, gnorm, np.where(rows[:, :, 0] == 0.0, own, -np.inf))
     take_bloch = bloch_value >= np.abs(plus) - _TIE_TOL
-    take_plus = ~take_bloch & (plus >= -plus - _TIE_TOL)
+    sign = np.where(plus >= -plus - _TIE_TOL, 1.0, -1.0)
 
-    new = np.zeros_like(rows)
-    new[:, :, 0] = np.where(take_bloch, 0.0, np.where(take_plus, 1.0, -1.0))
-    np.divide(gradient, gnorm[:, :, None], out=new[:, :, 1:], where=(take_bloch & usable)[:, :, None])
-    rows[...] = np.where((take_bloch & ~usable)[:, :, None], rows, new)
-    slot_values = np.where(take_bloch, bloch_value, np.where(take_plus, plus, -plus))
-    return total + (slot_values - own).sum(axis=1)
+    rows[:, :, 0] = np.where(take_bloch, 0.0, sign)
+    vectors = rows[:, :, 1:]
+    np.copyto(vectors, gradient / np.where(usable, gnorm, 1.0)[:, :, None],
+              where=(take_bloch & usable)[:, :, None])
+    vectors[~take_bloch] = 0.0
+    return total + (np.where(take_bloch, bloch_value, sign * plus) - own).sum(axis=1)
 
 
 def _real_gauge(rows):
@@ -519,10 +546,11 @@ def _pool(tensors, draws, params, out, failed, traces):
     queue = ((row, i) for row in range(len(tensors)) for i in range(restarts) if not failed[row])
     # The live restarts, contiguous and in entry order. Each carries its
     # row, restart index, tensor, monotonicity slack, rows, value and
-    # sweep count.
+    # first sweep: the number of pool sweeps run before it entered.
     live = {"row": np.empty(0, dtype=int), "restart": np.empty(0, dtype=int),
             "tensor": np.empty((0, 3, 3, 3)), "slack": np.empty(0), "rows": np.empty((0, 3, 3, 4)),
-            "value": np.empty(0), "sweeps": np.empty(0, dtype=int)}
+            "value": np.empty(0), "first_sweep": np.empty(0, dtype=int)}
+    sweep = 0
 
     while True:
         entering = list(itertools.islice(queue, _POOL_WIDTH - len(live["row"])))
@@ -534,29 +562,39 @@ def _pool(tensors, draws, params, out, failed, traces):
             value = np.einsum("nt,nt->n", moments[restart], tensor.reshape(-1, 27))
             entered = {"row": row, "restart": restart, "tensor": tensor, "slack": slack[row],
                        "rows": gauged[restart], "value": value,
-                       "sweeps": np.zeros(len(row), dtype=int)}
+                       "first_sweep": np.full(len(row), sweep)}
             live = {key: np.concatenate((live[key], entered[key])) for key in live}
         if not len(live["row"]):
             return
-        before = live["value"]
-        value, psi, lowered = _sweep(live["tensor"], live["rows"], before, live["slack"])
-        for code, step in enumerate(_STEPS, start=1):
-            rows = live["row"][lowered[step]]
-            failed[rows[failed[rows] == 0]] = code
-        live["value"] = value
-        live["sweeps"] += 1
+        # Sweep until a restart converges, reaches max_sweeps or has its
+        # value lowered; until then only the values change. The first live
+        # restart entered first, so it reaches max_sweeps first.
+        while True:
+            before = live["value"]
+            value, psi, lowered = _sweep(live["tensor"], live["rows"], before, live["slack"])
+            live["value"] = value
+            sweep += 1
+            if traces is not None:
+                for row, i, v in zip(live["row"].tolist(), live["restart"].tolist(),
+                                     value.tolist()):
+                    traces[row][i].append(v)
+            done = value - before < params.convergence_tol
+            lowering = lowered["state"].any() or lowered["observable"].any()
+            if lowering or sweep - live["first_sweep"][0] >= params.max_sweeps or done.any():
+                break
 
-        if traces is not None:
-            for row, i, v in zip(live["row"].tolist(), live["restart"].tolist(), value.tolist()):
-                traces[row][i].append(v)
-        dead = failed[live["row"]] != 0
-        done = value - before < params.convergence_tol
-        leaving = (done | (live["sweeps"] >= params.max_sweeps)) & ~dead
+        sweeps = sweep - live["first_sweep"]
+        leaving = gone = done | (sweeps >= params.max_sweeps)
+        if lowering:
+            for code, step in enumerate(_STEPS, start=1):
+                rows = live["row"][lowered[step]]
+                failed[rows[failed[rows] == 0]] = code
+            dead = failed[live["row"]] != 0
+            leaving, gone = leaving & ~dead, leaving | dead
         at = live["restart"][leaving], live["row"][leaving]
         out["states"][at] = psi[leaving]
         out["rows"][at] = live["rows"][leaving][:, :, 1:].reshape(-1, 6, 4)
         out["values"][at] = value[leaving]
-        out["sweeps"][at] = live["sweeps"][leaving]
+        out["sweeps"][at] = sweeps[leaving]
         out["converged"][at] = done[leaving]
-        if (leaving | dead).any():
-            live = {key: array[~(leaving | dead)] for key, array in live.items()}
+        live = {key: array[~gone] for key, array in live.items()}

@@ -100,6 +100,22 @@ def test_expression_accepts_integer_values_of_any_type():
         assert type(expr.coefficient((1, 1, 0))) is int
 
 
+def test_coefficient_sum_is_bounded():
+    """Coefficients whose absolute values sum to 2**53 are accepted, and
+    every sum and tensor entry of them is exact; one more is rejected."""
+    half = 2**52
+    expr = BellExpression({(1, 0, 0): half, (0, 1, 0): half})
+    assert local_bound(expr)[0] == 2**53
+    assert int(expr.tensor().astype(float).sum()) == 2**53
+    assert local_bound(BellExpression({(1, 0, 0): half, (0, 1, 0): -half}))[0] == 2**53
+    # Terms merge before the sum is taken.
+    assert dict(parse_expression(f"{2**53} A + {2**53} A - {2**53} A").coeffs) == {(1, 0, 0): 2**53}
+    for coeffs in ({(1, 0, 0): half, (0, 1, 0): -half - 1}, {(1, 1, 1): 10**20},
+                   {(1, 0, 0): 2**62, (0, 1, 0): 2**62}):
+        with pytest.raises(ValueError, match=r"absolute sum \d+ exceeds 2\*\*53"):
+            BellExpression(coeffs)
+
+
 def test_catalog_round_trip():
     for entry in load_catalog():
         again = parse_expression(format_expression(entry.expression))

@@ -63,11 +63,28 @@ def test_show_known_row(capsys):
     ("tables", "--tol", "inf"),
     ("qmax", "2", "--seed", "-1"),
     ("tables", "--seed", "-1"),
+    ("local", "4611686018427387904 A + 4611686018427387904 B"),
+    ("local", "99999999999999999999 A"),
+    ("npa", "4611686018427387904 A + 4611686018427387904 B", "--level", "aq"),
 ])
 def test_usage_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("command", [("local",), ("npa", "--level", "aq")])
+def test_coefficients_past_2_53_are_one_usage_error(capsys, command):
+    """Coefficients whose absolute sum is 2**63 would wrap the int64 local
+    bound to 0; ``local`` and ``npa`` both reject them before any work."""
+    name, *options = command
+    code, out, err = run(capsys, name, "4611686018427387904 A + 4611686018427387904 B", *options)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: coefficients' absolute sum 9223372036854775808 exceeds 2**53\n"
+    assert out == ""
+    code, out, _ = run(capsys, "local", "4503599627370496 A + 4503599627370496 B")
+    assert code == 0
+    assert "local bound  9007199254740992" in out.splitlines()
 
 
 def test_help_exits_zero():
@@ -593,3 +610,22 @@ def test_tables_rejects_unwritable_path_before_running(capsys, tmp_path, monkeyp
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert out == ""
+
+
+def test_tables_rejects_one_file_for_out_and_csv(capsys, tmp_path, monkeypatch):
+    """The CSV would overwrite the report: ``--out`` and ``--csv`` naming
+    one file, however spelled, is a usage error before the seesaw runs."""
+    def no_pool(*args):
+        raise AssertionError("the seesaw ran before the paths were checked")
+
+    monkeypatch.setattr(cli, "quantum_maxima", no_pool)
+    report = tmp_path / "same.txt"
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to(report)
+    for other in (report, tmp_path / "sub" / ".." / "same.txt", tmp_path / "link.txt"):
+        code, out, err = run(capsys, "tables", "--restarts", "2", "--out", str(report),
+                             "--csv", str(other))
+        assert code == cli.EXIT_USAGE
+        assert err == f"error: --out and --csv name the same file: {other}\n"
+        assert out == ""
+    assert report.read_text() == ""
