@@ -70,13 +70,6 @@ _STATUSES = {
 }
 
 
-# A moment-matrix solve that fails, by the iteration cap or in its linear
-# algebra, is reported as unconverged. LinAlgError subclasses ValueError, so
-# it is caught first: the ValueError left is an objective the level cannot
-# express.
-_SOLVE_FAILURES = (RuntimeError, np.linalg.LinAlgError)
-
-
 class UsageError(Exception):
     """Bad arguments or unreadable inputs; maps to exit code 1."""
 
@@ -126,11 +119,23 @@ def _observable_doc(obs: Observable) -> dict:
     return {"kind": "bloch", "vector": [float(c) for c in obs.vector]}
 
 
+def _numbers(value, count: int) -> bool:
+    """Whether ``value`` is a list of ``count`` JSON numbers (a bool is not one)."""
+    return isinstance(value, list) and len(value) == count and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+
+
 def _observable_from_doc(doc: dict) -> Observable:
     if doc["kind"] == "identity":
-        return Observable.identity(int(doc["sign"]))
-    x, y, z = (float(c) for c in doc["vector"])
-    return Observable.from_bloch(x, y, z, normalize=True)
+        sign = doc["sign"]
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"identity sign must be the integer 1 or -1, got {sign!r}")
+        return Observable.identity(sign)
+    if doc["kind"] != "bloch":
+        raise ValueError(f"unknown measurement kind {doc['kind']!r}")
+    if not _numbers(doc["vector"], 3):
+        raise ValueError("a Bloch vector needs a list of 3 numbers")
+    return Observable.from_bloch(*doc["vector"], normalize=True)
 
 
 def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams) -> dict:
@@ -161,9 +166,10 @@ def _solution_doc(ident: int | None, solution: Solution, params: SeesawParams) -
 def _solution_from_doc(doc: dict, expr: BellExpression) -> Solution:
     """The state and measurements of a solution document, with their value on
     ``expr``; the document's own value and statistics are not read."""
-    real, imag = (np.array(doc["state"][part], dtype=float) for part in ("re", "im"))
-    if real.shape != (8,) or imag.shape != (8,):
+    parts = [doc["state"][part] for part in ("re", "im")]
+    if not all(_numbers(part, 8) for part in parts):
         raise ValueError("state needs two flat lists of 8 numbers, re and im")
+    real, imag = np.array(parts, dtype=float)
     state = PureState.from_vector(real + 1j * imag, normalize=True)
     measurements = tuple(_observable_from_doc(d) for d in doc["measurements"])
     if len(measurements) != 6:
@@ -259,7 +265,7 @@ def _cmd_npa(args) -> int:
     params = _params(SdpParams, tolerance=args.tol, max_iterations=args.max_iterations)
     try:
         solution = npa_solve(expr, level, params)
-    except _SOLVE_FAILURES as err:
+    except RuntimeError as err:
         print(f"no convergence: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as err:
@@ -382,7 +388,7 @@ def _tables_row(ident: int, solution: Solution | Exception, npa_levels, npa_para
     for level in npa_levels:
         try:
             npa_solution = npa_solve(entry.expression, level, npa_params)
-        except _SOLVE_FAILURES as err:
+        except RuntimeError as err:
             row["npa_bounds"][level] = {"status": "no-convergence", "error": str(err)}
             continue
         except ValueError as err:

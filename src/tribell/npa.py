@@ -23,7 +23,7 @@ eigendecomposition. The solve holds OpenBLAS at one thread, since a
 threaded ``eigh`` of a moment matrix spends CPU on a second thread for no
 wall time; the hold lives here because no other module makes calls large
 enough for OpenBLAS to thread, and it finds OpenBLAS's thread functions
-on the first solve, never at import.
+through numpy's own LAPACK module on the first solve, never at import.
 Safeguarded type-II Anderson acceleration extrapolates V from the last
 60 fixed-point residuals T(V) - V, which removes most of ADMM's slow
 linear tail. An extrapolation that does not shrink the residual is
@@ -265,30 +265,21 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 @functools.lru_cache(maxsize=1)
 def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    has loaded, or None where none is found (another BLAS, or a system
-    without ``/proc/self/maps``). Looked up on first use, never at import."""
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    ``eigh`` calls, or None where none is found (another BLAS, or a
+    platform without ``os.RTLD_NOLOAD``). They are looked up through
+    numpy's own LAPACK module, whose symbol search covers the libraries
+    it links, on first use, never at import."""
     try:
-        # surrogateescape keeps any file name, decodable or not, and
-        # hands it back to dlopen unchanged.
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
-            # A mapping's sixth field, when present, is the mapped file.
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):
         return None
-    paths = {f[5].strip() for f in fields
-             if len(f) == 6 and "blas" in os.path.basename(f[5]).lower()}
-    for path in sorted(paths):
-        try:
-            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
@@ -506,9 +497,15 @@ def npa_solve(expr: BellExpression, level: str, params: SdpParams = SdpParams())
     """Build and solve the moment problem of an expression at a level.
 
     Raises ValueError when the level cannot express the objective and
-    RuntimeError when the solve hits the iteration cap.
+    RuntimeError when the solve fails: when it hits the iteration cap, or
+    when its linear algebra raises ``LinAlgError``, re-raised with the
+    same message.
     """
-    solution = sdp_maximize(build_moment_problem(expr, level), params)
+    problem = build_moment_problem(expr, level)
+    try:
+        solution = sdp_maximize(problem, params)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError(str(err)) from err
     if solution.status != "converged":
         raise RuntimeError(
             f"moment-matrix solve at level {level} hit the iteration cap "

@@ -237,6 +237,14 @@ def test_classify_rejects_bad_solution_documents(capsys, tmp_path):
                  id="nan-amplitude"),
     pytest.param(lambda doc: doc["measurements"][0].update(vector=[float("nan"), 0.0, 1.0]),
                  id="nan-bloch-vector"),
+    pytest.param(lambda doc: doc["measurements"].__setitem__(
+        0, {"kind": "blochh", "vector": [1, 0, 0]}), id="unknown-kind"),
+    *(pytest.param(lambda doc, sign=sign: doc["measurements"].__setitem__(
+        0, {"kind": "identity", "sign": sign}), id=f"{kind}-sign")
+      for kind, sign in (("float", 1.7), ("bool", True), ("string", "-1"))),
+    pytest.param(lambda doc: doc["state"]["re"].__setitem__(1, "0.5"), id="string-amplitude"),
+    pytest.param(lambda doc: doc["measurements"][0].update(vector=["0.5", 0.0, 1.0]),
+                 id="string-bloch-component"),
 ])
 def test_classify_rejects_malformed_solution_documents(capsys, tmp_path, damage):
     solution = Solution(state=PureState(np.eye(8)[0]),
@@ -249,6 +257,22 @@ def test_classify_rejects_malformed_solution_documents(capsys, tmp_path, damage)
     code, _, err = run(capsys, "classify", "3", "--solution", str(path))
     assert code == 1
     assert err.startswith("error: malformed solution document")
+
+
+def test_classify_reads_identity_measurements_and_integer_amplitudes(capsys, tmp_path):
+    """JSON integers are numbers, and an identity measurement's sign is the
+    integer 1 or -1."""
+    solution = Solution(state=PureState(np.eye(8)[0]),
+                        measurements=(Observable.identity(1), Observable.identity(-1),
+                                      *(Observable.from_bloch(0.0, 0.0, 1.0),) * 4),
+                        value=0.0, sweeps_used=0, restart_index=0)
+    doc = cli._solution_doc(3, solution, SeesawParams())
+    doc["state"]["re"] = [1, 0, 0, 0, 0, 0, 0, 0]
+    doc["measurements"][2]["vector"] = [0, 0, 1]
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "classify", "3", "--solution", str(path))
+    assert code == 0
 
 
 def test_npa_text_and_json(capsys):

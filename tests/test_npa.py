@@ -1,6 +1,8 @@
+import ctypes
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -328,6 +330,68 @@ def test_concurrent_solves_restore_the_thread_count(openblas_at_two_threads):
         sys.setswitchinterval(interval)
     assert all(solution.status == "converged" for solution in solutions)
     assert get() == 2
+
+
+# A stand-in library that exports OpenBLAS's thread-count functions and
+# does nothing else.
+_STAND_IN_BLAS = """
+static int threads = 3;
+int openblas_get_num_threads(void) { return threads; }
+void openblas_set_num_threads(int n) { threads = n; }
+"""
+
+
+def _numpy_openblas():
+    """The (get, set) thread-count functions of the OpenBLAS in a numpy
+    wheel's ``numpy.libs`` directory, found by file name rather than
+    through the lookup under test; skips where there is none."""
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        library = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        for get_name, set_name in npa._OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, get_name):
+                get, set_ = getattr(library, get_name), getattr(library, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    pytest.skip("numpy's OpenBLAS is not in a wheel's numpy.libs directory")
+
+
+def test_the_hold_sets_numpys_openblas_beside_another_blas(tmp_path, monkeypatch):
+    """With another library that exports OpenBLAS's thread functions
+    loaded, the solve still runs numpy's ``eigh`` on one thread of
+    numpy's OpenBLAS, and leaves the other library's count alone."""
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        pytest.skip("no C compiler")
+    get, set_ = _numpy_openblas()
+    source = tmp_path / "stand_in.c"
+    source.write_text(_STAND_IN_BLAS)
+    library = tmp_path / "libstandinblas.so"
+    subprocess.run([compiler, "-shared", "-fPIC", "-o", str(library), str(source)], check=True)
+    stand_in_get = ctypes.CDLL(str(library)).openblas_get_num_threads
+    stand_in_get.argtypes, stand_in_get.restype = [], ctypes.c_int
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix):
+        seen.append(get())
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    original = get()
+    set_(2)
+    npa._openblas_threads.cache_clear()
+    try:
+        solution = sdp_maximize(build_moment_problem(CHSH, "1+AB"), QUICK_SDP)
+        after = get()
+    finally:
+        set_(original)
+        npa._openblas_threads.cache_clear()
+    assert solution.status == "converged"
+    assert len(seen) == solution.iterations
+    assert set(seen) == {1}
+    assert after == 2
+    assert stand_in_get() == 3
 
 
 def test_rigor_margin_is_floored_at_the_tolerance():

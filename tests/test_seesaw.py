@@ -650,6 +650,24 @@ def test_capped_restarts_are_counted():
     assert quantum_maximum(catalog_entry(2).expression, QUICK).capped_restarts == 0
 
 
+def test_seed_zero_restart_statistics_of_every_row(full_seesaw):
+    """Each row's (hits, median sweeps, capped restarts) at 200 restarts and
+    seed 0: the figures the tables report prints, pinned per row, since
+    changes in two rows could offset each other in their sums."""
+    solutions, _ = full_seesaw
+    hits = [200, 200, 200, 200, 200, 200, 200, 200, 200, 200, 200, 200, 200, 200, 200, 200,
+            196, 200, 200, 200, 200, 200, 172, 200, 160, 200, 200, 200, 199, 200, 110, 199,
+            200, 177, 186, 200, 200, 200, 200, 200, 148, 200, 168, 200, 200, 61]
+    medians = [2.0, 2.0, 2.0, 2.0, 16.0, 6.0, 7.0, 8.0, 5.0, 2.0, 4.0, 26.0, 4.0, 21.0, 11.0,
+               16.0, 24.0, 16.0, 30.0, 8.0, 13.0, 10.0, 25.0, 8.0, 25.0, 9.0, 23.0, 8.0, 21.0,
+               38.0, 17.0, 14.0, 7.0, 11.0, 25.0, 15.0, 6.5, 5.0, 8.0, 14.0, 68.0, 9.0, 35.0,
+               37.0, 11.0, 77.0]
+    expected = {i: (h, m, {17: 5}.get(i, 0))
+                for i, h, m in zip(CATALOG_IDS, hits, medians, strict=True)}
+    found = {i: (s.hits, s.median_sweeps, s.capped_restarts) for i, s in solutions.items()}
+    assert found == expected
+
+
 def test_single_restart_statistics():
     """One restart is its own best, and its sweeps are the median."""
     solution = quantum_maximum(catalog_entry(46).expression, SeesawParams(restarts=1))
