@@ -5,7 +5,8 @@ terms. Each term is indexed by a triple ``(t1, t2, t3)`` with entries in
 ``{0, 1, 2}``: index 0 selects the identity slot of that party, 1 its
 first setting and 2 its second. The text form uses the letters A/a for
 party 1, B/b for party 2 and C/c for party 3, so ``"2 AB - abc"`` stands
-for ``2<A B> - <a b c>``.
+for ``2<A B> - <a b c>``. A term is ``[+|-] [integer] [letters]``, and any
+whitespace, line breaks included, separates tokens.
 
 The embedded catalog holds the 46 tight inequalities of this scenario in
 Sliwa's enumeration together with their local maxima. It and the
@@ -142,22 +143,17 @@ class CatalogEntry:
     source: str  # expression text as published, term order preserved
 
 
-_TOKEN = re.compile(r"[ \t]*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<word>[A-Za-z]+)|(?P<bad>\S))")
+_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<word>[A-Za-z]+)|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
+    # Every character but whitespace starts a match: only trailing whitespace is skipped.
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:  # only trailing whitespace left
-            break
-        if match.group("bad") is not None:
-            raise BellParseError(f"unexpected character {match.group('bad')!r}", match.start("bad"))
-        for kind in ("sign", "int", "word"):
-            if match.group(kind) is not None:
-                tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise BellParseError(f"unexpected character {match.group(kind)!r}", match.start(kind))
+        tokens.append((kind, match.group(kind), match.start(kind)))
     return tokens
 
 
@@ -181,6 +177,10 @@ def _word_term(word: str, pos: int) -> TermIndex:
 def parse_expression(text: str) -> BellExpression:
     """Parse expression text such as ``"2 A + BC - ABC"``.
 
+    Terms are ``[+|-] [integer] [letters]``; only the first may omit its
+    sign. Any whitespace, line breaks included, separates tokens. Equal
+    terms add up.
+
     Raises
     ------
     BellParseError
@@ -191,7 +191,6 @@ def parse_expression(text: str) -> BellExpression:
         raise BellParseError("empty expression", 0)
     coeffs: dict[TermIndex, int] = {}
     i = 0
-    first = True
     while i < len(tokens):
         sign = 1
         kind, value, pos = tokens[i]
@@ -201,22 +200,19 @@ def parse_expression(text: str) -> BellExpression:
             if i == len(tokens):
                 raise BellParseError("dangling sign", pos)
             kind, value, pos = tokens[i]
-        elif not first:
+        elif i:
             raise BellParseError("expected '+' or '-' between terms", pos)
         magnitude = 1
-        have_int = False
         if kind == "int":
             magnitude = int(value)
-            have_int = True
             i += 1
         term = (0, 0, 0)
         if i < len(tokens) and tokens[i][0] == "word":
             term = _word_term(tokens[i][1], tokens[i][2])
             i += 1
-        elif not have_int:
+        elif kind != "int":
             raise BellParseError("expected a term", pos)
         coeffs[term] = coeffs.get(term, 0) + sign * magnitude
-        first = False
     return BellExpression(coeffs)
 
 

@@ -419,6 +419,11 @@ def _cmd_tables(args) -> int:
     # A level given twice is solved once.
     npa_levels = list(dict.fromkeys(_LEVEL_TOKENS[token] for token in args.npa or []))
     npa_params = _params(SdpParams, tolerance=args.tol, max_iterations=args.max_iterations)
+    started = time.perf_counter()
+    # A damaged embedded table fails the whole command here, not every row,
+    # and before a report file is created.
+    load_catalog()
+    load_reference_table()
     # An unwritable report path fails here, not after the rows have run.
     # Appending creates a missing file and keeps an existing one.
     for path in filter(None, (args.out, args.csv)):
@@ -430,10 +435,6 @@ def _cmd_tables(args) -> int:
     # Both exist now, so two spellings of one file compare equal.
     if args.out and args.csv and os.path.samefile(args.out, args.csv):
         raise UsageError(f"--out and --csv name the same file: {args.csv}")
-    started = time.perf_counter()
-    # A damaged embedded table fails the whole command here, not every row.
-    load_catalog()
-    load_reference_table()
     try:
         solutions = quantum_maxima([catalog_entry(ident).expression for ident in CATALOG_IDS],
                                    seesaw_params)

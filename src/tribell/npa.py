@@ -48,6 +48,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import os
 import threading
 from collections.abc import Mapping
@@ -201,6 +202,12 @@ class SdpParams:
     adapt_interval: int = 100
 
     def __post_init__(self):
+        # bool is an Integral, but True is no count.
+        counts = (self.max_iterations, self.adapt_interval)
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in counts):
+            raise ValueError("max_iterations and adapt_interval must be integers")
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise ValueError("tolerance must be a real number")
         # Written so that NaN fails too.
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")

@@ -88,6 +88,7 @@ import functools
 import itertools
 import math
 import mmap
+import numbers
 import os
 import signal
 import traceback
@@ -161,6 +162,13 @@ class SeesawParams:
     master_seed: int = 0
 
     def __post_init__(self):
+        # bool is an Integral, but True is no count.
+        counts = (self.restarts, self.max_sweeps, self.master_seed)
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in counts):
+            raise ValueError("restarts, max_sweeps and master_seed must be integers")
+        tol = self.convergence_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValueError("convergence_tol must be a real number")
         if self.restarts < 1 or self.max_sweeps < 1:
             raise ValueError("restarts and max_sweeps must be positive")
         # Written so that NaN fails too.

@@ -1,4 +1,5 @@
 import itertools
+import re
 import zlib
 
 import numpy as np
@@ -58,6 +59,24 @@ def test_parse_reports_bad_character_position(text, position):
     with pytest.raises(BellParseError) as err:
         parse_expression(text)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("space", ["\n", "\r\n", "\v", "\f", "\u00a0", "\u2003"],
+                         ids=["lf", "crlf", "vt", "ff", "no-break-space", "em-space"])
+def test_any_whitespace_separates_tokens(space):
+    """Line breaks and other whitespace separate tokens as spaces do, so a
+    pasted expression that spans lines keeps its later terms."""
+    assert parse_expression("2 AB - ab + C".replace(" ", space)) == parse_expression("2 AB - ab + C")
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("A\nB", "expected '+' or '-' between terms", id="unsigned-term"),
+    pytest.param("A\n@", "unexpected character '@'", id="bad-character"),
+])
+def test_text_after_a_line_break_is_parsed(text, message):
+    with pytest.raises(BellParseError, match=f"^{re.escape(message)} \\(position 2\\)$") as err:
+        parse_expression(text)
+    assert err.value.position == 2
 
 
 @pytest.mark.parametrize("text", ["Aa", "ABCc", "aA + B"])
@@ -136,6 +155,19 @@ def test_random_round_trip(coeffs):
     expr = BellExpression(coeffs)
     again = parse_expression(format_expression(expr))
     assert dict(again.coeffs) == coeffs
+
+
+# Every character that str.isspace() accepts; none lies above U+3000.
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
+@given(coeff_maps, st.data())
+def test_tokens_joined_by_any_whitespace_round_trip(coeffs, data):
+    expr = BellExpression(coeffs)
+    tokens = re.findall(r"[+-]|\d+|[A-Za-z]+", format_expression(expr))
+    spaces = st.text(alphabet=WHITESPACE, max_size=3)
+    text = "".join(data.draw(spaces) + token for token in tokens) + data.draw(spaces)
+    assert parse_expression(text) == expr
 
 
 @given(coeff_maps, st.tuples(*[st.sampled_from((1, -1))] * 6))

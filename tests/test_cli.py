@@ -291,6 +291,12 @@ def test_npa_text_and_json(capsys):
         assert isinstance(doc[key], int) and doc[key] >= 0, key
 
 
+def test_npa_reads_an_expression_over_two_lines(capsys):
+    code, out, _ = run(capsys, "npa", "AB + Ab\n+ aB - ab", "--level", "q1")
+    assert code == 0
+    assert "upper bound  2.8284275" in out
+
+
 def test_npa_unreachable_level_is_usage_error(capsys):
     code, _, err = run(capsys, "npa", "2", "--level", "q1")
     assert code == 1
@@ -458,19 +464,23 @@ def test_tables_contains_a_failing_row(capsys, tmp_path, monkeypatch):
     assert all(len(line) == len(table[0]) for line in table)
 
 
-def test_tables_integrity_failure_is_one_error(capsys, monkeypatch):
+def test_tables_integrity_failure_is_one_error(capsys, monkeypatch, tmp_path):
     import tribell.fixtures as fixtures
 
     fixtures.load_reference_table.cache_clear()
     monkeypatch.setattr(fixtures, "_TABLE_CRC32", "0" * 8)
+    out_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
     try:
-        code, out, err = run(capsys, "tables", "--restarts", "2")
+        code, out, err = run(capsys, "tables", "--restarts", "2",
+                             "--out", str(out_path), "--csv", str(csv_path))
     finally:
         fixtures.load_reference_table.cache_clear()
     assert code == cli.EXIT_ERROR == 4
     assert err.startswith("error: ")
     assert err.count("checksum mismatch") == 1
     assert "id " not in out
+    # The tables are checked before the report paths: no empty file is left.
+    assert not out_path.exists() and not csv_path.exists()
 
 
 @pytest.mark.parametrize("table, argv, old, new, message", [

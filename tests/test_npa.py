@@ -167,6 +167,11 @@ def test_sdp_params_validation():
         SdpParams(max_iterations=0)
     with pytest.raises(ValueError):
         SdpParams(adapt_interval=0)
+    # Counts are integers, the tolerance a real number; bool is neither.
+    for bad in ({"max_iterations": 10.5}, {"adapt_interval": 2.5}, {"max_iterations": True},
+                {"adapt_interval": True}, {"tolerance": True}, {"tolerance": "1e-8"}):
+        with pytest.raises(ValueError):
+            SdpParams(**bad)
 
 
 def test_chsh_tsirelson_bound():
