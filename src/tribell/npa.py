@@ -24,6 +24,14 @@ threaded ``eigh`` of a moment matrix spends CPU on a second thread for no
 wall time; the hold lives here because no other module makes calls large
 enough for OpenBLAS to thread, and it finds OpenBLAS's thread functions
 through numpy's own LAPACK module on the first solve, never at import.
+The iteration calls that module's gufuncs, ``eigh_lo`` and ``solve1``,
+directly: they are the routines ``np.linalg.eigh`` and ``np.linalg.solve``
+run, on the same arrays, so every bit is the same, while the wrappers'
+per-call error state, type checks and result wrapping cost about 11 us
+per iteration, a tenth of an AQ iteration. One error state per solve
+keeps numpy.linalg's policy: over- and underflow and division by zero
+are ignored, and LAPACK's failure flag (invalid) raises
+``np.linalg.LinAlgError``.
 Safeguarded type-II Anderson acceleration extrapolates V from the last
 60 fixed-point residuals T(V) - V, which removes most of ADMM's slow
 linear tail. An extrapolation that does not shrink the residual is
@@ -36,7 +44,8 @@ weights unbalance the residuals and stall the extrapolation. The words
 and class structure of a level do not depend on the expression: they
 are built on first use, once per level, and every problem at that level
 shares the same read-only arrays. A problem is its level's structure
-plus one objective weight per class and a constant. The reported bound
+plus one finite objective weight per class and a finite constant,
+which it checks when made. The reported bound
 is the objective plus a safety margin of 10 max(tolerance, residuals)
 times the 1-norm of the objective weights. The margin is a heuristic,
 not a weak-duality certificate.
@@ -57,6 +66,7 @@ from itertools import product
 from types import MappingProxyType
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .bell_expr import BellExpression
 
@@ -170,11 +180,38 @@ def _level_structure(level: str) -> _LevelStructure:
 @dataclass(frozen=True, eq=False)
 class MomentProblem:
     """A level's shared structure, the objective's weight on each class
-    (indexed by ``structure.class_index``; read-only) and a constant."""
+    (indexed by ``structure.class_index``; a read-only copy) and a constant.
+
+    Raises ValueError when the weights are not one finite number per class
+    or the constant is not a finite real number.
+    """
 
     structure: _LevelStructure = field(repr=False)
     weights: np.ndarray
     constant: float
+
+    def __post_init__(self):
+        weights = np.asarray(self.weights)
+        if weights.dtype.kind not in "iuf":
+            raise ValueError(f"weights must be real numbers, not {weights.dtype}")
+        weights = weights.astype(float)  # a copy, even of float weights
+        classes = len(self.structure.class_index)
+        if weights.shape != (classes,):
+            raise ValueError(f"weights must be 1-D with one entry per class ({classes}), "
+                             f"not of shape {weights.shape}")
+        # Element by element: ``np.isfinite(weights).all()`` would be the
+        # solve's only logical-and reduction, whose first use in a process
+        # adds 64 to 128 KB to its resident memory.
+        if not all(map(math.isfinite, weights.tolist())):
+            raise ValueError("weights must be finite")
+        # bool is a Real, but True is no constant; written so that NaN fails too.
+        constant = self.constant
+        if (isinstance(constant, bool) or not isinstance(constant, numbers.Real)
+                or not -math.inf < constant < math.inf):
+            raise ValueError("constant must be a finite real number")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "constant", float(constant))
 
     @property
     def size(self) -> int:
@@ -257,7 +294,6 @@ def build_moment_problem(expr: BellExpression, level: str) -> MomentProblem:
         raise ValueError(
             f"objective words unreachable at level {level}: {sorted(unreachable)}"
         )
-    weights.flags.writeable = False
     return MomentProblem(structure, weights, constant)
 
 
@@ -278,7 +314,7 @@ def _openblas_threads():
     numpy's own LAPACK module, whose symbol search covers the libraries
     it links, on first use, never at import."""
     try:
-        library = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+        library = ctypes.CDLL(_lapack.__file__, mode=os.RTLD_NOLOAD)
     except (AttributeError, OSError):
         return None
     for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
@@ -354,7 +390,9 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     difference is 0, since the normal equations are then singular. The class
     structure is the level's shared, read-only one (``problem.structure``).
     OpenBLAS, when numpy uses it, is held at one thread for the solve;
-    the thread count never changes a result.
+    the thread count never changes a result. The iteration calls numpy's
+    LAPACK gufuncs under one error state, numpy.linalg's: an invalid value,
+    which is how a LAPACK failure shows, raises ``np.linalg.LinAlgError``.
 
     When some weight exceeds ``_MAX_WEIGHT`` (4) in magnitude, the solve
     runs with every weight divided by max|w| / 4; the optimal moments do
@@ -413,54 +451,57 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
     v = t_ok
     primal = dual = np.inf
     iteration = penalty_updates = rejected_steps = 0
-    for iteration in range(1, params.max_iterations + 1):
-        vals, vecs = np.linalg.eigh(v)
-        # eigh sorts ascending, so the positive eigenpairs are a suffix.
-        k = int(np.searchsorted(vals, 0.0, side="right"))
-        z = (vecs[:, k:] * vals[k:]) @ vecs[:, k:].T
-        primal = _norm(x_ok - z)
-        dual = rho * _norm(z - z_ok)
-        if primal < params.tolerance and dual < params.tolerance:
-            break
-        if iteration % params.adapt_interval == 0 and (
-            primal > 10.0 * dual or dual > 10.0 * primal
-        ):
-            scale = 2.0 if primal > dual else 0.5
-            rho *= scale
-            c_rho = c / rho
-            v = z + (v - z) / scale
-            penalty_updates += 1
-            # T changed with rho: neither the memory nor the last accepted
-            # point's residual describes it any more.
-            pushed = 0
-            f_ok = None
-        x, f = step(v, z)
-        t = v + f
-        f_norm = _norm(f)
-        if f_ok is not None:
-            # A stored pair means the current point was extrapolated.
-            if pushed and f_norm > f_norm_ok:
-                rejected_steps += 1
+    # numpy.linalg's error policy, entered once per solve, not once per call.
+    with np.errstate(call=_raise_lapack_failure, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        for iteration in range(1, params.max_iterations + 1):
+            vals, vecs = _lapack.eigh_lo(v, signature="d->dd")
+            # eigh sorts ascending, so the positive eigenpairs are a suffix.
+            k = int(vals.searchsorted(0.0, side="right"))
+            z = (vecs[:, k:] * vals[k:]) @ vecs[:, k:].T
+            primal = _norm(x_ok - z)
+            dual = rho * _norm(z - z_ok)
+            if primal < params.tolerance and dual < params.tolerance:
+                break
+            if iteration % params.adapt_interval == 0 and (
+                primal > 10.0 * dual or dual > 10.0 * primal
+            ):
+                scale = 2.0 if primal > dual else 0.5
+                rho *= scale
+                c_rho = c / rho
+                v = z + (v - z) / scale
+                penalty_updates += 1
+                # T changed with rho: neither the memory nor the last accepted
+                # point's residual describes it any more.
                 pushed = 0
-                v = t_ok
-                continue
-            row = pushed % memory
-            delta_f[row] = (f - f_ok).ravel()
-            delta_g[row] = (t - t_ok).ravel()
-            pushed += 1
-        x_ok, z_ok, t_ok, f_ok, f_norm_ok = x, z, t, f, f_norm
-        v = t
-        stored = min(pushed, memory)
-        if stored:
-            # A stored pair means one was just written, to ``row``.
-            df = delta_f[:stored]
-            gram[row, :stored] = gram[:stored, row] = df @ df[row]
-            trace = gram.diagonal()[:stored].sum()
-            if trace:
-                normal = gram[:stored, :stored].copy()
-                normal.flat[:: stored + 1] += _ANDERSON_REGULARIZATION * trace
-                gamma = np.linalg.solve(normal, df @ f.ravel())
-                v = t - (gamma @ delta_g[:stored]).reshape(n, n)
+                f_ok = None
+            x, f = step(v, z)
+            t = v + f
+            f_norm = _norm(f)
+            if f_ok is not None:
+                # A stored pair means the current point was extrapolated.
+                if pushed and f_norm > f_norm_ok:
+                    rejected_steps += 1
+                    pushed = 0
+                    v = t_ok
+                    continue
+                row = pushed % memory
+                delta_f[row] = (f - f_ok).ravel()
+                delta_g[row] = (t - t_ok).ravel()
+                pushed += 1
+            x_ok, z_ok, t_ok, f_ok, f_norm_ok = x, z, t, f, f_norm
+            v = t
+            stored = min(pushed, memory)
+            if stored:
+                # A stored pair means one was just written, to ``row``.
+                df = delta_f[:stored]
+                gram[row, :stored] = gram[:stored, row] = df @ df[row]
+                trace = gram.diagonal()[:stored].sum()
+                if trace:
+                    normal = gram[:stored, :stored].copy()
+                    normal.flat[:: stored + 1] += _ANDERSON_REGULARIZATION * trace
+                    gamma = _lapack.solve1(normal, df @ f.ravel(), signature="dd->d")
+                    v = t - (gamma @ delta_g[:stored]).reshape(n, n)
 
     means = class_means(z)
     moment_values = {rep: float(means[k]) for rep, k in structure.class_index.items()}
@@ -480,6 +521,13 @@ def sdp_maximize(problem: MomentProblem, params: SdpParams = SdpParams()) -> Sdp
         rejected_steps=rejected_steps,
         gamma=z,
     )
+
+
+def _raise_lapack_failure(err: str, flag: int):
+    """The error-state call of ``sdp_maximize``: LAPACK reports a failure
+    (an eigendecomposition that does not converge, a singular system) by
+    the invalid flag, as numpy.linalg's wrappers read it."""
+    raise np.linalg.LinAlgError("LAPACK failed in the moment-matrix iteration")
 
 
 def _norm(m: np.ndarray) -> float:

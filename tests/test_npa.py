@@ -5,9 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ import tribell.npa as npa
 from tribell.bell_expr import BellExpression, catalog_entry, local_bound, parse_expression
 from tribell.npa import (
     LEVELS,
+    MomentProblem,
     SdpParams,
     build_moment_problem,
     canonicalize_word,
@@ -35,6 +39,10 @@ CHSH = parse_expression("AB + Ab + aB - ab")
 MERMIN = catalog_entry(2).expression
 
 QUICK_SDP = SdpParams(tolerance=1e-8, max_iterations=200000)
+
+# numpy's LAPACK gufuncs module, as the solver reaches it before any test
+# stands in for it.
+LAPACK = npa._lapack
 
 symbols = st.tuples(st.sampled_from((1, 2, 3)), st.sampled_from((1, 2)))
 words = st.lists(symbols, max_size=6).map(tuple)
@@ -258,6 +266,38 @@ def test_level_structure_is_shared_and_read_only():
         structure.class_index[()] = 0
 
 
+def test_moment_problem_rejects_malformed_input():
+    """A NaN or infinite constant or weight, and weights that are not one
+    per class, fail at construction with the field's name, not inside
+    the solve."""
+    problem = build_moment_problem(CHSH, "AQ")
+    classes = len(problem.structure.class_index)
+    for constant in (math.nan, math.inf, -math.inf, True, "1"):
+        with pytest.raises(ValueError, match="constant"):
+            replace(problem, constant=constant)
+    for bad in (math.nan, math.inf, -math.inf):
+        weights = problem.weights.copy()
+        weights[1] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            replace(problem, weights=weights)
+    for weights in (np.ones(3), np.ones(classes + 1), np.ones((1, classes)), 1.0, ["a"] * classes,
+                    np.ones(classes, dtype=complex), np.ones(classes, dtype=bool), [None] * classes):
+        with pytest.raises(ValueError, match="weights"):
+            replace(problem, weights=weights)
+
+
+def test_moment_problem_keeps_a_read_only_copy_of_its_weights():
+    problem = build_moment_problem(CHSH, "AQ")
+    weights = problem.weights.copy()
+    copied = MomentProblem(problem.structure, weights, 0)
+    weights[:] = 1.0
+    assert np.array_equal(copied.weights, problem.weights)
+    assert not copied.weights.flags.writeable
+    assert copied.constant == 0.0 and isinstance(copied.constant, float)
+    with pytest.raises(ValueError):
+        copied.weights[0] = 1.0
+
+
 def _after_cli_import(expression: str, run: str = "") -> str:
     """What ``expression`` (over ``npa``) prints in a fresh interpreter
     that has imported the command line, as every start does, and then
@@ -290,19 +330,93 @@ def test_seesaw_looks_up_no_blas():
     assert _after_cli_import("npa._openblas_threads.cache_info().currsize", run) == "0"
 
 
+def _patch_lapack(monkeypatch, **gufuncs):
+    """Stand ``gufuncs`` in for those of ``npa._lapack``, the solver's one
+    way to numpy's LAPACK, for the test; the other gufuncs and the
+    module's ``__file__``, which the OpenBLAS lookup reads, stay numpy's."""
+    seam = SimpleNamespace(__file__=LAPACK.__file__, eigh_lo=LAPACK.eigh_lo, solve1=LAPACK.solve1)
+    vars(seam).update(gufuncs)
+    monkeypatch.setattr(npa, "_lapack", seam)
+
+
+@pytest.mark.parametrize("n", [19, 27])
+def test_the_seam_eigendecomposes_like_numpy_linalg(n):
+    """The solver's ``eigh_lo`` call gives numpy.linalg's ``eigh`` bit for
+    bit, at the 1+AB and AQ widths; a numpy whose gufuncs change fails here."""
+    rng = np.random.default_rng(n)
+    matrix = rng.normal(size=(n, n))
+    matrix += matrix.T
+    with npa._one_blas_thread:
+        vals, vecs = npa._lapack.eigh_lo(matrix, signature="d->dd")
+        expected_vals, expected_vecs = np.linalg.eigh(matrix)
+    assert np.array_equal(vals, expected_vals)
+    assert np.array_equal(vecs, expected_vecs)
+
+
+def test_the_seam_solves_like_numpy_linalg():
+    """The solver's ``solve1`` call gives numpy.linalg's ``solve`` bit for
+    bit on a 60-wide SPD system, the Anderson memory's full size."""
+    rng = np.random.default_rng(60)
+    factor = rng.normal(size=(60, 60))
+    matrix = factor @ factor.T + np.eye(60)
+    rhs = rng.normal(size=60)
+    with npa._one_blas_thread:
+        solution = npa._lapack.solve1(matrix, rhs, signature="dd->d")
+        expected = np.linalg.solve(matrix, rhs)
+    assert np.array_equal(solution, expected)
+
+
+def _failing_eigh(matrix, signature):
+    """numpy's eigh_lo on a NaN matrix: LAPACK does not converge, so the
+    gufunc returns NaNs and raises the invalid flag."""
+    return LAPACK.eigh_lo(np.full_like(matrix, np.nan), signature=signature)
+
+
+def _failing_solve(matrix, rhs, signature):
+    """numpy's solve1 on a zero matrix: LAPACK finds it singular, so the
+    gufunc returns NaNs and raises the invalid flag."""
+    return LAPACK.solve1(np.zeros_like(matrix), rhs, signature=signature)
+
+
+@pytest.mark.parametrize("gufunc, failing", [("eigh_lo", _failing_eigh), ("solve1", _failing_solve)])
+def test_a_lapack_failure_raises_and_restores_the_error_state(monkeypatch, gufunc, failing):
+    """A LAPACK call that fails raises LinAlgError from the solve, and a
+    RuntimeError from npa_solve, as numpy.linalg's would; no RuntimeWarning
+    escapes, and numpy's error state reads the same after a solve, a
+    failed one included, as before it."""
+    problem = build_moment_problem(CHSH, "1+AB")
+    # The first Anderson solve comes within a few iterations; a failure
+    # that went unseen would end at this cap, not in 200,000 NaN iterations.
+    short = SdpParams(max_iterations=50)
+    with np.errstate(over="raise", divide="warn", under="print", invalid="ignore"):
+        before = np.geterr(), np.geterrcall()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert sdp_maximize(problem, QUICK_SDP).status == "converged"
+            assert (np.geterr(), np.geterrcall()) == before
+            _patch_lapack(monkeypatch, **{gufunc: failing})
+            with pytest.raises(np.linalg.LinAlgError, match="LAPACK failed"):
+                sdp_maximize(problem, short)
+            assert (np.geterr(), np.geterrcall()) == before
+            with pytest.raises(RuntimeError, match="LAPACK failed"):
+                npa.npa_solve(CHSH, "1+AB", short)
+            assert (np.geterr(), np.geterrcall()) == before
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_solve_holds_openblas_at_one_thread(monkeypatch, openblas_at_two_threads):
     """The iteration's eigendecompositions run on one OpenBLAS thread, and
     the earlier count comes back after a solve, after an exception and
     after nested holds."""
     get = openblas_at_two_threads
     seen = []
-    eigh = np.linalg.eigh
+    eigh = LAPACK.eigh_lo
 
-    def recording_eigh(matrix):
+    def recording_eigh(matrix, signature):
         seen.append(get())
-        return eigh(matrix)
+        return eigh(matrix, signature=signature)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    _patch_lapack(monkeypatch, eigh_lo=recording_eigh)
     solution = sdp_maximize(build_moment_problem(MERMIN, "1+AB"), QUICK_SDP)
     assert solution.status == "converged"
     assert len(seen) == solution.iterations
@@ -376,13 +490,13 @@ def test_the_hold_sets_numpys_openblas_beside_another_blas(tmp_path, monkeypatch
     stand_in_get = ctypes.CDLL(str(library)).openblas_get_num_threads
     stand_in_get.argtypes, stand_in_get.restype = [], ctypes.c_int
     seen = []
-    eigh = np.linalg.eigh
+    eigh = LAPACK.eigh_lo
 
-    def recording_eigh(matrix):
+    def recording_eigh(matrix, signature):
         seen.append(get())
-        return eigh(matrix)
+        return eigh(matrix, signature=signature)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    _patch_lapack(monkeypatch, eigh_lo=recording_eigh)
     original = get()
     set_(2)
     npa._openblas_threads.cache_clear()
@@ -486,15 +600,15 @@ def test_random_objectives_converge_above_the_local_bound(expr, level):
 
 def test_anderson_never_solves_a_zero_normal_matrix(monkeypatch):
     """The normal matrix has trace 0 only when every stored difference is
-    0; the step is then plain and ``np.linalg.solve`` is not called."""
+    0; the step is then plain and LAPACK's ``solve1`` is not called."""
     traces = []
-    solve = np.linalg.solve
+    solve = LAPACK.solve1
 
-    def recording_solve(matrix, rhs):
+    def recording_solve(matrix, rhs, signature):
         traces.append(np.trace(matrix))
-        return solve(matrix, rhs)
+        return solve(matrix, rhs, signature=signature)
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    _patch_lapack(monkeypatch, solve1=recording_solve)
     for text in ("A", "-2 C", "AB + Ab + aB - ab"):
         for level in ("1+AB", "AQ"):
             solution = sdp_maximize(build_moment_problem(parse_expression(text), level), QUICK_SDP)
