@@ -26,11 +26,10 @@ enough for OpenBLAS to thread, and it finds OpenBLAS's thread functions
 through numpy's own LAPACK module on the first solve, never at import.
 The iteration calls that module's gufuncs, ``eigh_lo`` and ``solve1``,
 directly: they are the routines ``np.linalg.eigh`` and ``np.linalg.solve``
-run, on the same arrays, so every bit is the same, while the wrappers'
-per-call error state, type checks and result wrapping cost about 11 us
-per iteration, a tenth of an AQ iteration. One error state per solve
-keeps numpy.linalg's policy: over- and underflow and division by zero
-are ignored, and LAPACK's failure flag (invalid) raises
+run, on the same arrays, so every bit is the same, without the wrappers'
+per-call error state, type checks and result wrapping. One error state
+per solve keeps numpy.linalg's policy: over- and underflow and division
+by zero are ignored, and LAPACK's failure flag (invalid) raises
 ``np.linalg.LinAlgError``.
 Safeguarded type-II Anderson acceleration extrapolates V from the last
 60 fixed-point residuals T(V) - V, which removes most of ADMM's slow
@@ -44,8 +43,8 @@ weights unbalance the residuals and stall the extrapolation. The words
 and class structure of a level do not depend on the expression: they
 are built on first use, once per level, and every problem at that level
 shares the same read-only arrays. A problem is its level's structure
-plus one finite objective weight per class and a finite constant,
-which it checks when made. The reported bound
+plus one objective weight per class, whose 1-norm is finite, and a
+finite constant, which it checks when made. The reported bound
 is the objective plus a safety margin of 10 max(tolerance, residuals)
 times the 1-norm of the objective weights. The margin is a heuristic,
 not a weak-duality certificate.
@@ -182,8 +181,8 @@ class MomentProblem:
     """A level's shared structure, the objective's weight on each class
     (indexed by ``structure.class_index``; a read-only copy) and a constant.
 
-    Raises ValueError when the weights are not one finite number per class
-    or the constant is not a finite real number.
+    Raises ValueError when the weights are not one real number per class
+    with a finite 1-norm, or the constant is not a finite real number.
     """
 
     structure: _LevelStructure = field(repr=False)
@@ -199,11 +198,13 @@ class MomentProblem:
         if weights.shape != (classes,):
             raise ValueError(f"weights must be 1-D with one entry per class ({classes}), "
                              f"not of shape {weights.shape}")
-        # Element by element: ``np.isfinite(weights).all()`` would be the
-        # solve's only logical-and reduction, whose first use in a process
-        # adds 64 to 128 KB to its resident memory.
-        if not all(map(math.isfinite, weights.tolist())):
-            raise ValueError("weights must be finite")
+        # The 1-norm, summed in Python floats, is NaN or inf for a NaN or
+        # infinite weight and for weights whose magnitudes overflow. numpy's
+        # ``np.isfinite(weights).all()`` would be the solve's only logical-and
+        # reduction, whose first use in a process adds 64 to 128 KB to its
+        # resident memory.
+        if not math.isfinite(sum(map(abs, weights.tolist()))):
+            raise ValueError("weights must be finite, and so must their 1-norm")
         # bool is a Real, but True is no constant; written so that NaN fails too.
         constant = self.constant
         if (isinstance(constant, bool) or not isinstance(constant, numbers.Real)

@@ -6,15 +6,18 @@ in the computational basis ``|000> .. |111>`` with party 1 as the most
 significant qubit.
 
 The batched kernel works in the real Pauli basis: a measurement is the
-row ``(r0, rx, ry, rz)`` of ``r0 * identity + r . sigma``. Contracting a
-coefficient tensor with the three parties' rows gives 64 Pauli weights
-``w[mu, nu, lam]``, and the Bell operator is ``w`` times a (64, 64)
-Kronecker table of the products ``sigma_mu ⊗ sigma_nu ⊗ sigma_lam``; a
-state's correlation tensor is its flattened ``conj(psi) psi^T`` times the
-table's transpose. Each is one product per batch, taken as its real and
-imaginary parts: x-z rows and real states need only the real part, in
-real arithmetic. Every batch entry's product is computed on its own, so
-its bits do not depend on the batch around it.
+row ``(r0, rx, ry, rz)`` of ``r0 * identity + r . sigma``. Its input is
+a batch of rows and a stack of coefficient tensors: one tensor per batch
+entry, or a single expression's tensor as a stack of one, broadcast over
+the batch. Contracting a coefficient tensor with the three parties' rows
+gives 64 Pauli weights ``w[mu, nu, lam]``, and the Bell operator is
+``w`` times a (64, 64) Kronecker table of the products
+``sigma_mu ⊗ sigma_nu ⊗ sigma_lam``; a state's correlation tensor is its
+flattened ``conj(psi) psi^T`` times the table's transpose. Each is one
+product per batch, taken as its real and imaginary parts: x-z rows and
+real states need only the real part, in real arithmetic. Every batch
+entry's product is computed on its own, so its bits do not depend on the
+batch around it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "PLUS_IDENTITY",
     "PureState",
     "bell_operator",
-    "bell_operators",
     "correlations",
     "expectation",
     "observable_rows",
@@ -39,7 +41,6 @@ __all__ = [
     "sigma_x",
     "sigma_y",
     "sigma_z",
-    "slot_response",
 ]
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -149,9 +150,8 @@ class PureState:
 # The other two parties of each party, in party order.
 _OTHER_PARTIES = ((1, 2), (0, 2), (0, 1))
 # Axis orders that bring a party first, the other two after it in party
-# order: in one tensor, and in a batch of coefficient or correlation tensors.
-_PARTY_FIRST = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-_BATCH_PARTY_FIRST = tuple((0, *(axis + 1 for axis in axes)) for axes in _PARTY_FIRST)
+# order, in a stack of coefficient or correlation tensors.
+_BATCH_PARTY_FIRST = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
 @functools.lru_cache(maxsize=1)
@@ -198,33 +198,27 @@ def _open_party(tensor: np.ndarray, rows: np.ndarray, party: int) -> np.ndarray:
     """Contract the coefficient tensor with the other two parties' rows.
 
     ``rows`` is an (n, 3, 3, 4) batch of per-party rows, and ``tensor``
-    one (3, 3, 3) coefficient tensor or an (n, 3, 3, 3) stack of them,
-    one per batch entry. The result is (n, 3, 4, 4): the free party's
-    slot index, then the Pauli indices of the other two parties in party
-    order.
+    an (n, 3, 3, 3) stack of coefficient tensors, one per batch entry, or
+    a (1, 3, 3, 3) stack of one, broadcast over the batch. The result is
+    (n, 3, 4, 4): the free party's slot index, then the Pauli indices of
+    the other two parties in party order.
     """
     first, second = _OTHER_PARTIES[party]
-    axes = (_PARTY_FIRST if tensor.ndim == 3 else _BATCH_PARTY_FIRST)[party]
-    free_first = tensor.transpose(axes).reshape(tensor.shape[:-3] + (9, 3))
+    free_first = tensor.transpose(_BATCH_PARTY_FIRST[party]).reshape(-1, 9, 3)
     half = (free_first @ rows[:, second]).reshape(-1, 3, 3, 4)
     return rows[:, first].swapaxes(1, 2)[:, None] @ half
 
 
-def bell_operators(tensor: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(n, 8, 8) Bell operators of an (n, 3, 3, 4) batch of rows, under one
-    coefficient tensor or a stack of them (see ``_open_party``).
+def _operators(opened: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(n, 8, 8) Bell operators of an (n, 3, 3, 4) batch of rows, from
+    party A's ``_open_party`` contraction of them: the Pauli weights ``w``
+    times the Kronecker table.
 
     When no row has a y component, sigma_y has weight 0 and the operators
-    are real symmetric: they are built in real arithmetic and are float64.
-    Otherwise they are complex Hermitian.
+    are real symmetric: they are built from the table's real part alone,
+    in real arithmetic, and are float64. Otherwise they are complex
+    Hermitian, with the imaginary part as well.
     """
-    return _operators(_open_party(tensor, rows, 0), rows)
-
-
-def _operators(opened: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``bell_operators`` from party A's ``_open_party`` contraction: the
-    Pauli weights ``w`` times the Kronecker table, real part and, when a
-    row has a y component, imaginary part."""
     weights = (rows[:, 0].swapaxes(1, 2) @ opened.reshape(-1, 3, 16)).reshape(-1, 64)
     real, imag = _pauli_products()
     if not np.any(rows[..., 2]):
@@ -249,21 +243,16 @@ def correlations(states: np.ndarray) -> np.ndarray:
     return corr.reshape(-1, 4, 4, 4)
 
 
-def slot_response(tensor: np.ndarray, rows: np.ndarray, corr: np.ndarray,
-                  party: int) -> np.ndarray:
-    """(n, 3, 4) linear response of the value to each of one party's rows.
-
-    ``rows`` is an (n, 3, 3, 4) batch and ``corr`` the states' correlation
-    tensors. The value is the sum of row . response over the party's three
-    rows; component 0 of a slot's response is its contribution at
-    +identity, components 1..3 its gradient. The response does not depend
-    on the party's own rows.
-    """
-    return _response(_open_party(tensor, rows, party), corr, party)
-
-
 def _response(opened: np.ndarray, corr: np.ndarray, party: int) -> np.ndarray:
-    """``slot_response`` from the party's ``_open_party`` contraction."""
+    """(n, 3, 4) linear response of the value to each of one party's rows,
+    from the party's ``_open_party`` contraction of a batch of rows and
+    the states' (n, 4, 4, 4) correlation tensors.
+
+    The value is the sum of row . response over the party's three rows;
+    component 0 of a slot's response is its contribution at +identity,
+    components 1..3 its gradient. The response does not depend on the
+    party's own rows.
+    """
     moved = corr.transpose(_BATCH_PARTY_FIRST[party]).reshape(-1, 4, 16)
     return opened.reshape(-1, 3, 16) @ moved.swapaxes(1, 2)
 
@@ -271,8 +260,8 @@ def _response(opened: np.ndarray, corr: np.ndarray, party: int) -> np.ndarray:
 def bell_operator(expr, observables) -> np.ndarray:
     """8x8 Bell operator of an expression under six chosen observables;
     float64, with the complex operator's values, when none has a y part."""
-    tensor = expr.tensor().astype(float)
-    return bell_operators(tensor, observable_rows(observables)[None])[0]
+    rows = observable_rows(observables)[None]
+    return _operators(_open_party(expr.tensor()[None].astype(float), rows, 0), rows)[0]
 
 
 def expectation(state: PureState, matrix: np.ndarray) -> float:

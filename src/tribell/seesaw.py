@@ -107,7 +107,6 @@ from .qcore import (
     correlations,
     expectation,
     observable_rows,
-    slot_response,
 )
 
 __all__ = [
@@ -196,7 +195,8 @@ class Solution:
 
 def best_state(expr: BellExpression, observables) -> tuple[float, PureState]:
     """Optimal state for fixed measurements: top eigenpair of the operator."""
-    values, states = _state_step(expr.tensor().astype(float), observable_rows(observables)[None])
+    rows = observable_rows(observables)[None]
+    values, states = _state_step(_open_party(expr.tensor()[None].astype(float), rows, 0), rows)
     return float(values[0]), PureState(states[0])
 
 
@@ -212,8 +212,8 @@ def best_observable(expr: BellExpression, state: PureState, observables, slot: i
     observables = tuple(observables)
     party, setting = divmod(slot, 2)
     rows = observable_rows(observables)[None]
-    tensor = expr.tensor().astype(float)
-    response = slot_response(tensor, rows, correlations(state.amplitudes[None]), party)
+    opened = _open_party(expr.tensor()[None].astype(float), rows, party)
+    response = _response(opened, correlations(state.amplitudes[None]), party)
     value = float(_update_settings(rows[:, party], response, slice(setting + 1, setting + 2))[0])
     if np.linalg.norm(response[0, setting + 1]) < _GRADIENT_TOL:
         return value, observables[slot]
@@ -494,15 +494,12 @@ def _draws(entropy, spawn_keys):
     return moments, rows
 
 
-def _state_step(tensor, rows, opened=None):
+def _state_step(opened, rows):
     """Top eigenvalues and eigenvectors of a batch's Bell operators, each
     vector's largest-magnitude amplitude made real and positive.
 
-    ``opened`` is party A's ``_open_party`` contraction of the rows, when
-    the caller has it already.
+    ``opened`` is party A's ``_open_party`` contraction of the rows.
     """
-    if opened is None:
-        opened = _open_party(tensor, rows, 0)
     eigvals, eigvecs = np.linalg.eigh(_operators(opened, rows))
     states = eigvecs[:, :, -1]
     lead = states[np.arange(len(states)), np.argmax(np.abs(states), axis=1)]
@@ -520,7 +517,7 @@ def _sweep(tensor, rows, before, slack):
     # It leaves the rows alone, so party A's contraction serves its
     # observable step too.
     opened = _open_party(tensor, rows, 0)
-    value, psi = _state_step(tensor, rows, opened)
+    value, psi = _state_step(opened, rows)
     lowered = {"state": value < before - slack, "observable": np.zeros(len(value), dtype=bool)}
     corr = correlations(psi)
     # Observable steps, both settings of a party at once.

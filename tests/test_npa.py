@@ -284,6 +284,17 @@ def test_moment_problem_rejects_malformed_input():
                     np.ones(classes, dtype=complex), np.ones(classes, dtype=bool), [None] * classes):
         with pytest.raises(ValueError, match="weights"):
             replace(problem, weights=weights)
+    # Finite weights whose 1-norm overflows fail too. CHSH's 1-norm is 4:
+    # at 1.6e308 it is still finite, and the scaled solve converges
+    # without a warning.
+    problem = build_moment_problem(CHSH, "1+AB")
+    with pytest.raises(ValueError, match="weights must be finite"):
+        replace(problem, weights=problem.weights * 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = sdp_maximize(replace(problem, weights=problem.weights * 4e307))
+    assert solution.status == "converged"
+    assert solution.objective_value == pytest.approx(2 * math.sqrt(2) * 4e307, rel=1e-9)
 
 
 def test_moment_problem_keeps_a_read_only_copy_of_its_weights():

@@ -9,8 +9,10 @@ from tribell.qcore import (
     PLUS_IDENTITY,
     Observable,
     PureState,
+    _open_party,
+    _operators,
+    _response,
     bell_operator,
-    bell_operators,
     correlations,
     expectation,
     observable_matrix,
@@ -20,7 +22,6 @@ from tribell.qcore import (
     sigma_x,
     sigma_y,
     sigma_z,
-    slot_response,
 )
 
 rng = np.random.default_rng(20260817)
@@ -242,6 +243,16 @@ def test_bell_operator_matches_kron_reference():
         assert abs(expectation(state, operator) - expectation(state, reference)) < 1e-12
 
 
+def _bell_operators(tensor, rows):
+    """The kernel's Bell operators of a batch of rows under one tensor."""
+    return _operators(_open_party(tensor[None], rows, 0), rows)
+
+
+def _slot_response(tensor, rows, corr, party):
+    """The kernel's slot responses of a batch of rows under one tensor."""
+    return _response(_open_party(tensor[None], rows, party), corr, party)
+
+
 def test_batched_kernel_matches_single_calls():
     gen = np.random.default_rng(32)
     expr = parse_expression("ABC + abC + aBc - Abc + 2 aB - c")
@@ -249,7 +260,7 @@ def test_batched_kernel_matches_single_calls():
     batch = [tuple(_random_slot(gen) for _ in range(6)) for _ in range(7)]
     states = np.array([random_state(gen).amplitudes for _ in batch])
     rows = np.array([observable_rows(observables) for observables in batch])
-    operators = bell_operators(tensor, rows)
+    operators = _bell_operators(tensor, rows)
     corr = correlations(states)
     for n, observables in enumerate(batch):
         single_operator = bell_operator(expr, observables)
@@ -257,9 +268,9 @@ def test_batched_kernel_matches_single_calls():
         state = PureState(states[n])
         value = expectation(state, operators[n])
         for party in range(3):
-            single = slot_response(tensor, rows[n:n + 1],
-                                   correlations(states[n:n + 1]), party)
-            batched = slot_response(tensor, rows, corr, party)[n]
+            single = _slot_response(tensor, rows[n:n + 1],
+                                    correlations(states[n:n + 1]), party)
+            batched = _slot_response(tensor, rows, corr, party)[n]
             assert np.allclose(batched, single[0], rtol=0.0, atol=1e-12)
             # The value is linear in each party's rows through its response.
             assert abs(np.sum(rows[n, party] * batched) - value) < 1e-12
@@ -280,7 +291,7 @@ def test_bell_operators_of_xz_rows_are_real():
     tensor = expr.tensor().astype(float)
     batch = [tuple(_xz_slot(gen) for _ in range(6)) for _ in range(25)]
     rows = np.array([observable_rows(observables) for observables in batch])
-    operators = bell_operators(tensor, rows)
+    operators = _bell_operators(tensor, rows)
     assert operators.dtype == np.float64
     assert np.array_equal(operators, np.swapaxes(operators, 1, 2))
     for observables, operator in zip(batch, operators):
@@ -288,7 +299,7 @@ def test_bell_operators_of_xz_rows_are_real():
     # One row with a y component makes the whole batch complex; the other
     # operators are unchanged.
     rows[3, 1, 2] = (0.0, *random_bloch(gen))
-    mixed = bell_operators(tensor, rows)
+    mixed = _bell_operators(tensor, rows)
     assert mixed.dtype == complex
     others = np.arange(25) != 3
     assert np.array_equal(mixed[others].real, operators[others])
@@ -326,12 +337,34 @@ def test_lone_row_equals_its_row_in_a_batch():
     tensor = expr.tensor().astype(float)
     for slot in (_xz_slot, _random_slot):
         rows = np.array([observable_rows([slot(gen) for _ in range(6)]) for _ in range(25)])
-        operators = bell_operators(tensor, rows)
+        operators = _bell_operators(tensor, rows)
         for n in range(25):
-            assert np.array_equal(bell_operators(tensor, rows[n:n + 1])[0], operators[n])
+            assert np.array_equal(_bell_operators(tensor, rows[n:n + 1])[0], operators[n])
     for states in (gen.normal(size=(25, 8)),
                    gen.normal(size=(25, 8)) + 1j * gen.normal(size=(25, 8))):
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         corr = correlations(states)
         for n in range(25):
             assert np.array_equal(correlations(states[n:n + 1])[0], corr[n])
+
+
+def test_stack_of_one_equals_the_repeated_stack():
+    """A single tensor, as a stack of one broadcast over the batch, gives
+    every batch entry the bits that a stack holding one copy per entry
+    gives it: the contraction, the operators and the slot responses."""
+    gen = np.random.default_rng(37)
+    expr = parse_expression("2 A - a + BC - 3 ABC + abc - Ab + 4 aBc + bC - c")
+    tensor = expr.tensor().astype(float)
+    for n in (1, 7, 255):
+        for slot in (_xz_slot, _random_slot):
+            rows = np.array([observable_rows([slot(gen) for _ in range(6)]) for _ in range(n)])
+            states = gen.normal(size=(n, 8)) + 1j * gen.normal(size=(n, 8))
+            corr = correlations(states / np.linalg.norm(states, axis=1, keepdims=True))
+            for party in range(3):
+                one = _open_party(tensor[None], rows, party)
+                repeated = _open_party(np.repeat(tensor[None], n, 0), rows, party)
+                assert np.array_equal(one, repeated)
+                assert np.array_equal(_response(one, corr, party),
+                                      _response(repeated, corr, party))
+                if party == 0:
+                    assert np.array_equal(_operators(one, rows), _operators(repeated, rows))

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from tribell.bell_expr import CATALOG_IDS, catalog_entry, parse_expression
-from tribell.qcore import Observable, PureState, bell_operator, expectation, observable_rows
+from tribell.qcore import (
+    Observable,
+    PureState,
+    _open_party,
+    bell_operator,
+    expectation,
+    observable_rows,
+)
 from tribell.seesaw import (
     _MONOTONE_SLACK,
     _VALUE_TIE_TOL,
@@ -84,7 +91,8 @@ def test_best_state_of_xz_observables_is_the_state_step():
     observables = tuple(Observable.from_bloch(x, 0.0, z, normalize=True)
                         for x, _, z in gen.normal(size=(6, 3)))
     value, state = best_state(expr, observables)
-    values, states = _state_step(expr.tensor().astype(float), observable_rows(observables)[None])
+    rows = observable_rows(observables)[None]
+    values, states = _state_step(_open_party(expr.tensor()[None].astype(float), rows, 0), rows)
     assert states.dtype == np.float64
     assert value == values[0]
     assert np.array_equal(state.amplitudes, states[0])
@@ -310,17 +318,21 @@ def test_a_decrease_ends_its_row_alone(monkeypatch):
     params = SeesawParams(restarts=12, master_seed=0)
     exprs = [catalog_entry(ident).expression for ident in (5, 17, 26)]
     expected = [_fingerprint(solution) for solution in quantum_maxima(exprs, params)]
-    state_step, target = seesaw._state_step, exprs[1].tensor()
-    sweeps = []
+    sweep, state_step, target = seesaw._sweep, seesaw._state_step, exprs[1].tensor()
+    tensors = []  # each sweep's batch of tensors
 
-    def sabotaged(tensor, rows, opened=None):
-        values, states = state_step(tensor, rows, opened)
-        sweeps.append(None)
-        if len(sweeps) == 3:
+    def noted(tensor, rows, before, slack):
+        tensors.append(tensor)
+        return sweep(tensor, rows, before, slack)
+
+    def sabotaged(opened, rows):
+        values, states = state_step(opened, rows)
+        if len(tensors) == 3:
             # One restart of id 17 in the third sweep.
-            values[np.flatnonzero(np.all(tensor == target, axis=(1, 2, 3)))[0]] -= 1.0
+            values[np.flatnonzero(np.all(tensors[-1] == target, axis=(1, 2, 3)))[0]] -= 1.0
         return values, states
 
+    monkeypatch.setattr(seesaw, "_sweep", noted)
     monkeypatch.setattr(seesaw, "_state_step", sabotaged)
     # Ids 5 and 17 share the pool from the start.
     monkeypatch.setattr(seesaw, "_POOL_WIDTH", 24)
